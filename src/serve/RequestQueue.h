@@ -63,7 +63,11 @@ public:
   /// drained (then nullopt — the consumer's exit signal).
   std::optional<T> pop() {
     std::unique_lock<std::mutex> Lock(M);
+    ++Waiting;
+    if (Waiting > Items.size())
+      Idle.notify_all();
     NotEmpty.wait(Lock, [&] { return !Items.empty() || Closed; });
+    --Waiting;
     if (Items.empty())
       return std::nullopt;
     T Item = std::move(Items.front());
@@ -106,6 +110,16 @@ public:
     return true;
   }
 
+  /// Blocks until some consumer waits in pop() with no item left for it,
+  /// or the queue is closed. The collector calls this on the dispatch
+  /// queue before taking the next admission, so requests stay in the
+  /// admission queue — and count against its bound — while every worker
+  /// is busy.
+  void waitForIdleConsumer() {
+    std::unique_lock<std::mutex> Lock(M);
+    Idle.wait(Lock, [&] { return Waiting > Items.size() || Closed; });
+  }
+
   /// Stops admission; consumers drain the remainder and then see nullopt.
   void close() {
     {
@@ -114,6 +128,7 @@ public:
     }
     NotEmpty.notify_all();
     NotFull.notify_all();
+    Idle.notify_all();
   }
 
   bool closed() const {
@@ -134,7 +149,9 @@ private:
   mutable std::mutex M;
   std::condition_variable NotEmpty;
   std::condition_variable NotFull; ///< pushWait's wakeup (pops signal it)
+  std::condition_variable Idle;    ///< waitForIdleConsumer's wakeup
   std::deque<T> Items;
+  size_t Waiting = 0; ///< consumers inside pop()
   bool Closed = false;
 };
 

@@ -2,8 +2,6 @@
 
 #include "serve/Server.h"
 
-#include "serve/AdaptiveLinger.h"
-
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
@@ -17,6 +15,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <iterator>
 
 using namespace dc;
 using namespace dc::serve;
@@ -78,6 +77,9 @@ struct Server::Connection {
   int Fd;
   std::mutex WriteMutex;
   std::atomic<bool> Closed{false};
+  /// Set as the reader thread's last step: the acceptor may then join
+  /// it and drop the connection from the live table.
+  std::atomic<bool> ReaderDone{false};
 };
 
 /// One admitted solve request waiting for a worker. Svc is the registry
@@ -94,8 +96,8 @@ struct Server::Pending {
   long NodeBudget = 0;
   int FrontierSize = 0;
   std::shared_ptr<Connection> Conn;
-  /// Recognition guide precomputed by the batching collector (null when
-  /// batching is off, the domain opted out, or the epoch has no model);
+  /// Recognition guide precomputed by the collector (null when MaxBatch
+  /// is 1, the epoch has no model, or the deadline already passed);
   /// always produced by Svc's own model, so it is bit-identical to the
   /// predict() the worker would otherwise run.
   std::shared_ptr<const ContextualGrammar> Guide;
@@ -134,21 +136,12 @@ std::unique_ptr<Server> Server::start(ServiceRegistry &Registry,
   S->Config = Config;
   if (S->Config.Workers < 1)
     S->Config.Workers = 1;
+  S->Config.MaxBatch = std::max(1, S->Config.MaxBatch);
   S->Queue = std::make_unique<BoundedQueue<Pending>>(
       static_cast<size_t>(S->Config.QueueCapacity));
-
-  // Micro-batching stage: only materialized when some domain can batch
-  // (server-wide MaxBatch > 1 or a per-domain override) — otherwise the
-  // pipeline is exactly the pre-batching one, workers popping the
-  // admission queue directly.
-  bool BatchingOn = S->Config.MaxBatch > 1;
-  for (const std::string &Name : Registry.domainNames())
-    if (ServiceRegistry::Snapshot Svc = Registry.lookup(Name))
-      if (Svc->config().MaxBatch > 1)
-        BatchingOn = true;
-  if (BatchingOn)
-    S->Dispatch = std::make_unique<BoundedQueue<Pending>>(
-        static_cast<size_t>(S->Config.QueueCapacity));
+  // The collector hands over at most one batch at a time.
+  S->Dispatch = std::make_unique<BoundedQueue<Pending>>(
+      static_cast<size_t>(S->Config.MaxBatch));
 
   S->ListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (S->ListenFd < 0)
@@ -179,8 +172,7 @@ std::unique_ptr<Server> Server::start(ServiceRegistry &Registry,
 
   for (int I = 0; I < S->Config.Workers; ++I)
     S->Workers.emplace_back([Srv = S.get()] { Srv->workerLoop(); });
-  if (S->Dispatch)
-    S->Collector = std::thread([Srv = S.get()] { Srv->collectorLoop(); });
+  S->Collector = std::thread([Srv = S.get()] { Srv->collectorLoop(); });
   S->Acceptor = std::thread([Srv = S.get()] { Srv->acceptLoop(); });
   return S;
 }
@@ -227,9 +219,9 @@ void Server::teardown() {
   }
 
   // 2. Drain: the queue is already closed (requestShutdown); the
-  //    collector (when batching) forwards every admitted request and
-  //    closes the dispatch queue on exit; workers finish every admitted
-  //    request, answer it, then exit on nullopt.
+  //    collector forwards every admitted request and closes the
+  //    dispatch queue on exit; workers finish every admitted request,
+  //    answer it, then exit on nullopt.
   Queue->close(); // direct teardown() callers skipped requestShutdown
   if (Collector.joinable())
     Collector.join();
@@ -239,20 +231,15 @@ void Server::teardown() {
   Workers.clear();
 
   // 3. Hang up on clients (readers unblock from recv) and join readers.
+  std::vector<ConnectionEntry> Live;
   {
     std::lock_guard<std::mutex> CLock(ConnectionsMutex);
-    for (const std::weak_ptr<Connection> &WC : Connections)
-      if (std::shared_ptr<Connection> C = WC.lock())
-        C->hangUp();
+    Live.swap(Connections);
   }
-  std::vector<std::thread> ToJoin;
-  {
-    std::lock_guard<std::mutex> RLock(ReadersMutex);
-    ToJoin.swap(Readers);
+  for (ConnectionEntry &E : Live) {
+    E.Conn->hangUp();
+    E.Reader.join();
   }
-  for (std::thread &R : ToJoin)
-    if (R.joinable())
-      R.join();
 
   for (int &Fd : WakePipe)
     if (Fd >= 0) {
@@ -271,6 +258,7 @@ void Server::acceptLoop() {
     int N = ::poll(Fds, 2, /*timeout ms*/ 500);
     if (shuttingDown())
       break;
+    pruneConnections();
     if (N <= 0)
       continue;
     if (!(Fds[0].revents & POLLIN))
@@ -279,23 +267,25 @@ void Server::acceptLoop() {
     if (ClientFd < 0)
       continue;
     auto Conn = std::make_shared<Connection>(ClientFd);
-    {
-      std::lock_guard<std::mutex> Lock(ConnectionsMutex);
-      // Compact dead entries so a long-lived server doesn't accumulate
-      // one weak_ptr per historical connection.
-      Connections.erase(std::remove_if(Connections.begin(),
-                                       Connections.end(),
-                                       [](const std::weak_ptr<Connection> &W) {
-                                         return W.expired();
-                                       }),
-                        Connections.end());
-      Connections.push_back(Conn);
-    }
-    OpenConnections.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(ReadersMutex);
-    Readers.emplace_back(
-        [this, Conn = std::move(Conn)]() mutable { readerLoop(Conn); });
+    std::lock_guard<std::mutex> Lock(ConnectionsMutex);
+    Connections.push_back(
+        {Conn, std::thread([this, Conn] { readerLoop(Conn); })});
   }
+}
+
+void Server::pruneConnections() {
+  std::vector<ConnectionEntry> Closed;
+  {
+    std::lock_guard<std::mutex> Lock(ConnectionsMutex);
+    auto Done = std::partition(
+        Connections.begin(), Connections.end(), [](const ConnectionEntry &E) {
+          return !E.Conn->ReaderDone.load(std::memory_order_acquire);
+        });
+    std::move(Done, Connections.end(), std::back_inserter(Closed));
+    Connections.erase(Done, Connections.end());
+  }
+  for (ConnectionEntry &E : Closed)
+    E.Reader.join();
 }
 
 void Server::readerLoop(std::shared_ptr<Connection> Conn) {
@@ -317,7 +307,7 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
     }
     Buffer.erase(0, Start);
     if (Buffer.size() > Config.MaxLineBytes) {
-      BadRequests.fetch_add(1, std::memory_order_relaxed);
+      count(&ServerCounts::BadRequest);
       Conn->sendLine(makeErrorResponse(Json::null(), errc::BadRequest,
                                        "request line exceeds " +
                                            std::to_string(
@@ -328,7 +318,7 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
     }
   }
   Conn->hangUp();
-  OpenConnections.fetch_sub(1, std::memory_order_relaxed);
+  Conn->ReaderDone.store(true, std::memory_order_release);
 }
 
 //===----------------------------------------------------------------------===//
@@ -340,8 +330,7 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
   std::string Err;
   std::optional<Request> Req = parseRequestLine(Line, &Err);
   if (!Req) {
-    BadRequests.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.bad_request");
+    count(&ServerCounts::BadRequest);
     Conn->sendLine(
         makeErrorResponse(Json::null(), errc::BadRequest, Err).dump());
     return;
@@ -377,7 +366,7 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
     return;
   }
   if (Req->Method == "stats") {
-    Conn->sendLine(makeOkResponse(Req->Id, buildStats()).dump());
+    Conn->sendLine(makeOkResponse(Req->Id, stats()).dump());
     return;
   }
   if (Req->Method == "solve") {
@@ -388,7 +377,7 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
     handleReload(Conn, Req->Id, Req->Params);
     return;
   }
-  BadRequests.fetch_add(1, std::memory_order_relaxed);
+  count(&ServerCounts::UnknownMethod);
   Conn->sendLine(makeErrorResponse(Req->Id, errc::UnknownMethod,
                                    "unknown method '" + Req->Method + "'")
                      .dump());
@@ -399,8 +388,7 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
   std::string Err;
   std::optional<SolveParams> SP = parseSolveParams(Params, &Err);
   if (!SP) {
-    BadRequests.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.bad_request");
+    count(&ServerCounts::BadRequest);
     Conn->sendLine(makeErrorResponse(Id, errc::BadRequest, Err).dump());
     return;
   }
@@ -411,8 +399,7 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
                                       ? Registry->defaultService()
                                       : Registry->lookup(SP->Domain);
   if (!Svc) {
-    Rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.unknown_domain");
+    count(&ServerCounts::UnknownDomain);
     Conn->sendLine(makeErrorResponse(Id, errc::UnknownDomain,
                                      "no domain named '" + SP->Domain +
                                          "' is loaded")
@@ -424,6 +411,7 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
   if (!Task) {
     Task = Svc->taskByName(SP->TaskName);
     if (!Task) {
+      count(&ServerCounts::UnknownTask);
       Conn->sendLine(makeErrorResponse(Id, errc::UnknownTask,
                                        "no task named '" + SP->TaskName +
                                            "' in the corpus")
@@ -446,12 +434,18 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
   P.FrontierSize = SP->FrontierSize;
   P.Conn = Conn;
 
-  PushResult Admission = Queue->tryPush(std::move(P));
+  PushResult Admission;
+  {
+    // Counted under the store's lock, so no worker can count this
+    // request's outcome before its admission.
+    std::lock_guard<std::mutex> Lock(CountsMutex);
+    Admission = Queue->tryPush(std::move(P));
+    EpochRow &Row = EpochRows[{Svc->config().DomainName, Svc->epoch()}];
+    ++(Admission == PushResult::Ok ? Row.Accepted : Row.Rejected);
+  }
   if (Admission != PushResult::Ok) {
     // The reason was decided under the queue lock: no race against a
     // concurrent close() can misreport full-vs-closed.
-    Rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.rejected");
     if (Admission == PushResult::Closed)
       Conn->sendLine(makeErrorResponse(Id, errc::ShuttingDown,
                                        "server is shutting down")
@@ -464,9 +458,6 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
                          .dump());
     return;
   }
-  Accepted.fetch_add(1, std::memory_order_relaxed);
-  bumpEpochCounter(*Svc, &EpochCounters::Accepted);
-  obs::countAdd("serve.requests.accepted");
   size_t Depth = Queue->depth();
   obs::gaugeSet("serve.queue_depth", static_cast<double>(Depth));
   obs::observe("serve.queue_depth", static_cast<double>(Depth));
@@ -477,8 +468,7 @@ void Server::handleReload(const std::shared_ptr<Connection> &Conn,
   std::string Err;
   std::optional<ReloadParams> RP = parseReloadParams(Params, &Err);
   if (!RP) {
-    BadRequests.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.bad_request");
+    count(&ServerCounts::BadRequest);
     Conn->sendLine(makeErrorResponse(Id, errc::BadRequest, Err).dump());
     return;
   }
@@ -486,6 +476,7 @@ void Server::handleReload(const std::shared_ptr<Connection> &Conn,
                                       ? Registry->defaultService()
                                       : Registry->lookup(RP->Domain);
   if (!Cur) {
+    count(&ServerCounts::UnknownDomain);
     Conn->sendLine(makeErrorResponse(Id, errc::UnknownDomain,
                                      "no domain named '" + RP->Domain +
                                          "' is loaded")
@@ -505,13 +496,11 @@ void Server::handleReload(const std::shared_ptr<Connection> &Conn,
   ServiceRegistry::Snapshot Fresh =
       Registry->reload(NewConfig.DomainName, NewConfig, &Err);
   if (!Fresh) {
-    FailedReloads.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.reload.failed");
+    count(&ServerCounts::FailedReloads);
     Conn->sendLine(makeErrorResponse(Id, errc::ReloadFailed, Err).dump());
     return;
   }
-  Reloads.fetch_add(1, std::memory_order_relaxed);
-  obs::countAdd("serve.reload.ok");
+  count(&ServerCounts::Reloads);
   Json R = Json::object();
   R.set("domain", Json::string(Fresh->config().DomainName));
   R.set("epoch", Json::integer(static_cast<long long>(Fresh->epoch())));
@@ -522,125 +511,79 @@ void Server::handleReload(const std::shared_ptr<Connection> &Conn,
   Conn->sendLine(makeOkResponse(Id, std::move(R)).dump());
 }
 
-void Server::bumpEpochCounter(const Service &Svc,
-                              long EpochCounters::*Field) {
-  std::lock_guard<std::mutex> Lock(EpochStatsMutex);
-  EpochStats[{Svc.config().DomainName, Svc.epoch()}].*Field += 1;
+void Server::count(const Service &Svc, long EpochRow::*Field) {
+  std::lock_guard<std::mutex> Lock(CountsMutex);
+  EpochRows[{Svc.config().DomainName, Svc.epoch()}].*Field += 1;
+}
+
+void Server::count(long ServerCounts::*Field) {
+  std::lock_guard<std::mutex> Lock(CountsMutex);
+  Counts.*Field += 1;
 }
 
 //===----------------------------------------------------------------------===//
-// Micro-batching collector
+// Collector
 //===----------------------------------------------------------------------===//
-
-int Server::effectiveMaxBatch(const Service &Svc) const {
-  int V = Svc.config().MaxBatch;
-  return V >= 0 ? V : Config.MaxBatch;
-}
-
-long Server::effectiveLingerMicros(const Service &Svc) const {
-  long V = Svc.config().BatchLingerMicros;
-  return V >= 0 ? V : Config.BatchLingerMicros;
-}
 
 void Server::collectorLoop() {
-  // Arrival-rate estimator for adaptive linger: fed with the *admission*
-  // timestamp of every request this thread sees, so collector
-  // scheduling jitter does not contaminate the inter-arrival signal.
-  // Collector-private — no locking.
-  AdaptiveLingerController Arrivals;
-  auto AdmittedMicros = [](const Pending &P) {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               P.Admitted.time_since_epoch())
-        .count();
-  };
-  while (std::optional<Pending> Head = Queue->pop()) {
-    Clock::time_point CollectStart = Clock::now();
+  const size_t MaxBatch = static_cast<size_t>(Config.MaxBatch);
+  const std::chrono::microseconds Linger(Config.BatchLingerMicros);
+  for (;;) {
+    // Take the next admission only once a worker can run it: until then
+    // it waits in the admission queue, under the queue bound.
+    Dispatch->waitForIdleConsumer();
+    std::optional<Pending> Head = Queue->pop();
+    if (!Head)
+      break; // admission queue closed and drained
     std::vector<Pending> Batch;
-    // The head request's domain governs this window: its batch cap and
-    // linger budget. A lone request therefore never waits longer than
-    // its own domain's linger, and a MaxBatch-1 domain's requests pass
-    // through with no linger at all.
-    const int HeadMax = effectiveMaxBatch(*Head->Svc);
-    long LingerUs = effectiveLingerMicros(*Head->Svc);
-    if (Config.AdaptiveLinger) {
-      Arrivals.noteArrival(AdmittedMicros(*Head));
-      LingerUs = Arrivals.lingerMicros(HeadMax, LingerUs);
-      EwmaArrivalGapUs.store(
-          static_cast<long>(Arrivals.ewmaGapMicros()),
-          std::memory_order_relaxed);
-      LastLingerUs.store(LingerUs, std::memory_order_relaxed);
-      obs::observe("serve.adaptive_linger_us",
-                   static_cast<double>(LingerUs));
-    }
     Batch.push_back(std::move(*Head));
-    if (HeadMax > 1 && LingerUs > 0) {
-      obs::ScopedSpan CollectSpan("serve.batch.collect");
-      Clock::time_point Until =
-          CollectStart + std::chrono::microseconds(LingerUs);
-      while (static_cast<int>(Batch.size()) < HeadMax) {
-        std::optional<Pending> Next = Queue->popUntil(Until);
-        if (!Next)
-          break; // linger expired, or closed and drained
-        Batch.push_back(std::move(*Next));
-      }
-      if (Config.AdaptiveLinger)
-        for (size_t I = 1; I < Batch.size(); ++I)
-          Arrivals.noteArrival(AdmittedMicros(Batch[I]));
-    }
-    obs::observe("recog.batch.size",
-                 static_cast<double>(Batch.size()));
-    obs::observe("recog.batch.linger_us",
-                 std::chrono::duration<double, std::micro>(Clock::now() -
-                                                           CollectStart)
-                     .count());
 
-    // Group by the (domain, epoch) snapshot captured at admission —
-    // pointer identity, so two epochs of one domain can never share a
-    // predictBatch — and run one batched prediction per group. Requests
-    // whose domain opted out (effective MaxBatch <= 1), whose epoch has
-    // no model, or whose deadline already expired pass through
-    // unguided.
-    {
-      obs::ScopedSpan PredictSpan("serve.batch.predict");
-      std::vector<const Service *> GroupOrder;
-      std::map<const Service *, std::vector<size_t>> Groups;
-      Clock::time_point Now = Clock::now();
-      for (size_t I = 0; I < Batch.size(); ++I) {
-        const Service *Svc = Batch[I].Svc.get();
-        if (!Svc->recognitionModel() || effectiveMaxBatch(*Svc) <= 1 ||
-            Batch[I].Deadline <= Now)
-          continue;
-        if (Groups.emplace(Svc, std::vector<size_t>()).second)
-          GroupOrder.push_back(Svc);
-        Groups[Svc].push_back(I);
-      }
-      for (const Service *Svc : GroupOrder) {
-        const std::vector<size_t> &Members = Groups[Svc];
-        const size_t Chunk =
-            static_cast<size_t>(std::max(1, effectiveMaxBatch(*Svc)));
-        for (size_t Off = 0; Off < Members.size(); Off += Chunk) {
-          size_t End = std::min(Off + Chunk, Members.size());
-          std::vector<const Task *> Tasks;
-          Tasks.reserve(End - Off);
-          for (size_t K = Off; K < End; ++K)
-            Tasks.push_back(Batch[Members[K]].Task.get());
-          std::vector<ContextualGrammar> Guides =
-              Svc->recognitionModel()->predictBatch(Tasks);
-          for (size_t K = Off; K < End; ++K)
-            Batch[Members[K]].Guide =
-                std::make_shared<const ContextualGrammar>(
-                    std::move(Guides[K - Off]));
-          BatchedPredicts.fetch_add(1, std::memory_order_relaxed);
-          obs::countAdd("serve.batched_predicts." +
-                        Svc->config().DomainName);
+    if (MaxBatch > 1) {
+      Clock::time_point CollectStart = Clock::now();
+      if (Linger.count() > 0) {
+        obs::ScopedSpan CollectSpan("serve.batch.collect");
+        Clock::time_point Until = CollectStart + Linger;
+        while (Batch.size() < MaxBatch) {
+          std::optional<Pending> Next = Queue->popUntil(Until);
+          if (!Next)
+            break; // linger expired, or closed and drained
+          Batch.push_back(std::move(*Next));
         }
       }
+      obs::observe("recog.batch.size", static_cast<double>(Batch.size()));
+      obs::observe("recog.batch.linger_us",
+                   std::chrono::duration<double, std::micro>(Clock::now() -
+                                                             CollectStart)
+                       .count());
+
+      // Group by the (domain, epoch) snapshot captured at admission —
+      // pointer identity, so two epochs of one domain can never share a
+      // predictBatch — and run one batched prediction per group.
+      // Requests whose epoch has no model, or whose deadline already
+      // expired, pass through unguided.
+      obs::ScopedSpan PredictSpan("serve.batch.predict");
+      std::map<const Service *, std::vector<size_t>> Groups;
+      Clock::time_point Now = Clock::now();
+      for (size_t I = 0; I < Batch.size(); ++I)
+        if (Batch[I].Svc->recognitionModel() && Batch[I].Deadline > Now)
+          Groups[Batch[I].Svc.get()].push_back(I);
+      for (const auto &[Svc, Members] : Groups) {
+        std::vector<const Task *> Tasks;
+        Tasks.reserve(Members.size());
+        for (size_t I : Members)
+          Tasks.push_back(Batch[I].Task.get());
+        std::vector<ContextualGrammar> Guides =
+            Svc->recognitionModel()->predictBatch(Tasks);
+        for (size_t K = 0; K < Members.size(); ++K)
+          Batch[Members[K]].Guide =
+              std::make_shared<const ContextualGrammar>(std::move(Guides[K]));
+        count(&ServerCounts::BatchedPredicts);
+      }
     }
 
-    // Hand over in admission order. pushWait blocks on a full dispatch
-    // queue rather than dropping admitted work; the dispatch queue is
-    // only closed after this thread exits, so the push cannot fail
-    // while we are here.
+    // Hand over in admission order. The dispatch queue holds one batch
+    // and is only closed after this thread exits, so the push never
+    // drops admitted work.
     obs::ScopedSpan DispatchSpan("serve.batch.dispatch");
     for (Pending &P : Batch)
       Dispatch->pushWait(std::move(P));
@@ -656,10 +599,7 @@ void Server::collectorLoop() {
 //===----------------------------------------------------------------------===//
 
 void Server::workerLoop() {
-  // With batching on, workers consume the collector's dispatch queue;
-  // otherwise they pop admissions directly (the pre-batching pipeline).
-  BoundedQueue<Pending> &Source = Dispatch ? *Dispatch : *Queue;
-  while (std::optional<Pending> P = Source.pop()) {
+  while (std::optional<Pending> P = Dispatch->pop()) {
     Clock::time_point Dequeued = Clock::now();
     double QueueMs = millisBetween(P->Admitted, Dequeued);
     double RemainingSeconds =
@@ -678,9 +618,7 @@ void Server::workerLoop() {
                   static_cast<double>(Queue->depth()));
 
     if (O.TheStatus == Outcome::Status::Timeout) {
-      Timeouts.fetch_add(1, std::memory_order_relaxed);
-      bumpEpochCounter(*P->Svc, &EpochCounters::Timeout);
-      obs::countAdd("serve.requests.timeout");
+      count(*P->Svc, &EpochRow::Timeout);
       P->Conn->sendLine(
           makeErrorResponse(P->Id, errc::Timeout,
                             "deadline expired after " +
@@ -707,15 +645,7 @@ void Server::workerLoop() {
     }
 
     bool SolvedNow = O.TheStatus == Outcome::Status::Solved;
-    if (SolvedNow) {
-      Solved.fetch_add(1, std::memory_order_relaxed);
-      bumpEpochCounter(*P->Svc, &EpochCounters::Solved);
-      obs::countAdd("serve.requests.solved");
-    } else {
-      NoSolution.fetch_add(1, std::memory_order_relaxed);
-      bumpEpochCounter(*P->Svc, &EpochCounters::NoSolution);
-      obs::countAdd("serve.requests.no_solution");
-    }
+    count(*P->Svc, SolvedNow ? &EpochRow::Solved : &EpochRow::NoSolution);
 
     Json Result = Json::object();
     Result.set("status",
@@ -734,61 +664,59 @@ void Server::workerLoop() {
 // Stats
 //===----------------------------------------------------------------------===//
 
-ServerStats Server::stats() const {
-  ServerStats S;
-  S.Accepted = Accepted.load(std::memory_order_relaxed);
-  S.Rejected = Rejected.load(std::memory_order_relaxed);
-  S.Solved = Solved.load(std::memory_order_relaxed);
-  S.NoSolution = NoSolution.load(std::memory_order_relaxed);
-  S.Timeout = Timeouts.load(std::memory_order_relaxed);
-  S.BadRequest = BadRequests.load(std::memory_order_relaxed);
-  S.Reloads = Reloads.load(std::memory_order_relaxed);
-  S.FailedReloads = FailedReloads.load(std::memory_order_relaxed);
-  S.BatchedPredicts = BatchedPredicts.load(std::memory_order_relaxed);
-  S.EwmaArrivalGapUs = EwmaArrivalGapUs.load(std::memory_order_relaxed);
-  S.LastLingerUs = LastLingerUs.load(std::memory_order_relaxed);
-  S.QueueDepth = Queue->depth();
-  S.DispatchDepth = Dispatch ? Dispatch->depth() : 0;
-  S.Connections = OpenConnections.load(std::memory_order_relaxed);
-  return S;
-}
+Json Server::stats() const {
+  std::map<std::pair<std::string, unsigned long>, EpochRow> Rows;
+  ServerCounts C;
+  {
+    std::lock_guard<std::mutex> Lock(CountsMutex);
+    Rows = EpochRows;
+    C = Counts;
+  }
+  auto SetOutcomes = [](Json &Out, const EpochRow &Row) {
+    Out.set("accepted", Json::integer(Row.Accepted));
+    Out.set("rejected", Json::integer(Row.Rejected));
+    Out.set("solved", Json::integer(Row.Solved));
+    Out.set("no_solution", Json::integer(Row.NoSolution));
+    Out.set("timeout", Json::integer(Row.Timeout));
+  };
 
-std::map<std::pair<std::string, unsigned long>, EpochCounters>
-Server::epochStats() const {
-  std::lock_guard<std::mutex> Lock(EpochStatsMutex);
-  return EpochStats;
-}
+  EpochRow Total;
+  for (const auto &[Key, Row] : Rows) {
+    Total.Accepted += Row.Accepted;
+    Total.Rejected += Row.Rejected;
+    Total.Solved += Row.Solved;
+    Total.NoSolution += Row.NoSolution;
+    Total.Timeout += Row.Timeout;
+  }
+  long Open = 0;
+  {
+    std::lock_guard<std::mutex> Lock(ConnectionsMutex);
+    for (const ConnectionEntry &E : Connections)
+      Open += !E.Conn->ReaderDone.load(std::memory_order_acquire);
+  }
 
-Json Server::buildStats() const {
-  ServerStats S = stats();
   Json R = Json::object();
-  R.set("accepted", Json::integer(S.Accepted));
-  R.set("rejected", Json::integer(S.Rejected));
-  R.set("solved", Json::integer(S.Solved));
-  R.set("no_solution", Json::integer(S.NoSolution));
-  R.set("timeout", Json::integer(S.Timeout));
-  R.set("bad_request", Json::integer(S.BadRequest));
-  R.set("reloads", Json::integer(S.Reloads));
-  R.set("failed_reloads", Json::integer(S.FailedReloads));
-  R.set("queue_depth", Json::integer(static_cast<long long>(S.QueueDepth)));
+  SetOutcomes(R, Total);
+  R.set("bad_request", Json::integer(C.BadRequest));
+  R.set("unknown_method", Json::integer(C.UnknownMethod));
+  R.set("unknown_domain", Json::integer(C.UnknownDomain));
+  R.set("unknown_task", Json::integer(C.UnknownTask));
+  R.set("reloads", Json::integer(C.Reloads));
+  R.set("failed_reloads", Json::integer(C.FailedReloads));
+  R.set("queue_depth",
+        Json::integer(static_cast<long long>(Queue->depth())));
   R.set("queue_capacity",
         Json::integer(static_cast<long long>(Queue->capacity())));
-  R.set("connections", Json::integer(S.Connections));
+  R.set("connections", Json::integer(Open));
   R.set("workers", Json::integer(Config.Workers));
   R.set("max_batch", Json::integer(Config.MaxBatch));
-  R.set("batched_predicts", Json::integer(S.BatchedPredicts));
-  if (Config.AdaptiveLinger) {
-    R.set("ewma_arrival_gap_us", Json::integer(S.EwmaArrivalGapUs));
-    R.set("last_linger_us", Json::integer(S.LastLingerUs));
-  }
+  R.set("batched_predicts", Json::integer(C.BatchedPredicts));
   R.set("dispatch_depth",
-        Json::integer(static_cast<long long>(S.DispatchDepth)));
+        Json::integer(static_cast<long long>(Dispatch->depth())));
   R.set("shutting_down", Json::boolean(shuttingDown()));
 
-  // Per-domain: current epoch plus the outcome history of every epoch
-  // this server has served (reloads never zero counters).
-  std::map<std::pair<std::string, unsigned long>, EpochCounters> ES =
-      epochStats();
+  // Per-domain: current epoch plus the outcome row of every epoch this
+  // server has served (reloads never zero counters).
   Json Domains = Json::object();
   for (const std::string &Name : Registry->domainNames()) {
     ServiceRegistry::Snapshot Svc = Registry->lookup(Name);
@@ -801,15 +729,12 @@ Json Server::buildStats() const {
               Svc->grammar().productions().size())));
     D.set("model", Json::boolean(Svc->hasRecognitionModel()));
     Json History = Json::array();
-    for (const auto &[Key, C] : ES) {
+    for (const auto &[Key, Row] : Rows) {
       if (Key.first != Name)
         continue;
       Json E = Json::object();
       E.set("epoch", Json::integer(static_cast<long long>(Key.second)));
-      E.set("accepted", Json::integer(C.Accepted));
-      E.set("solved", Json::integer(C.Solved));
-      E.set("no_solution", Json::integer(C.NoSolution));
-      E.set("timeout", Json::integer(C.Timeout));
+      SetOutcomes(E, Row);
       History.push(std::move(E));
     }
     D.set("epochs", std::move(History));

@@ -11,11 +11,13 @@
 ///
 ///   acceptor ──► one reader thread per connection ──► BoundedQueue
 ///                                                          │
-///                                     worker pool ◄────────┘
+///                 worker pool ◄── dispatch ◄── collector ◄─┘
 ///
-/// With micro-batching enabled (ServerConfig::MaxBatch > 1 or a
-/// per-domain override), a collector thread sits between the admission
-/// queue and the workers: it gathers up to MaxBatch solve requests
+/// The acceptor joins each reader once its connection closes. The
+/// collector takes a request off the admission queue only when a
+/// worker is free to run it, so everything still waiting counts against
+/// the queue bound. With ServerConfig::MaxBatch 1 it forwards each
+/// request at once; above 1 it gathers up to MaxBatch solve requests
 /// within a BatchLingerMicros window, groups them by their admission
 /// (domain, epoch) snapshot — a batch therefore never mixes epochs —
 /// runs one RecognitionModel::predictBatch per group, and forwards each
@@ -79,59 +81,17 @@ struct ServerConfig {
   int Workers = 2;          ///< search worker threads
   int QueueCapacity = 16;   ///< admission bound (beyond in-flight work)
   long DefaultTimeoutMs = 5000; ///< per-request deadline when unspecified
-  /// Cross-request micro-batching (DESIGN.md §9): a collector between
-  /// the admission queue and the workers gathers up to MaxBatch solve
-  /// requests inside a BatchLingerMicros window, groups them by
-  /// (domain, epoch) snapshot, and runs one predictBatch per group so
-  /// recognition inference amortizes across queued requests. 1 (the
-  /// default) disables the stage entirely — workers pop the admission
-  /// queue directly, exactly the pre-batching pipeline. Per-domain
-  /// ServiceConfig overrides refine both knobs.
+  /// Cross-request micro-batching (DESIGN.md §9): the collector
+  /// gathers up to MaxBatch solve requests inside a BatchLingerMicros
+  /// window, groups them by (domain, epoch) snapshot, and runs one
+  /// predictBatch per group so recognition inference amortizes across
+  /// queued requests. 1 (the default) forwards each request at once,
+  /// with no linger and no precomputed guide.
   int MaxBatch = 1;
   long BatchLingerMicros = 2000; ///< max extra wait for batch-mates
-  /// Size each collection window's wait from the observed request
-  /// arrival rate (EWMA of admission inter-arrival gaps; see
-  /// serve/AdaptiveLinger.h) instead of always spending the full
-  /// BatchLingerMicros. The configured linger stays authoritative as
-  /// the per-window ceiling; dense traffic waits only as long as the
-  /// remaining batch slots are expected to take to fill, and sparse
-  /// traffic passes straight through.
-  bool AdaptiveLinger = false;
   /// Reject lines longer than this before parsing (a malformed or
   /// malicious client cannot balloon reader memory).
   size_t MaxLineBytes = 1 << 20;
-};
-
-/// Point-in-time operational numbers (the `stats` endpoint; all counters
-/// are tracked by the server itself so they work with telemetry off).
-struct ServerStats {
-  long Accepted = 0;
-  long Rejected = 0; ///< overloaded + shutting_down + unknown_domain
-  long Solved = 0;
-  long NoSolution = 0;
-  long Timeout = 0;
-  long BadRequest = 0;
-  long Reloads = 0;       ///< successful epoch swaps
-  long FailedReloads = 0; ///< reload_failed responses
-  long BatchedPredicts = 0; ///< predictBatch calls by the collector
-  /// Adaptive linger only: EWMA inter-arrival gap and the last window's
-  /// computed wait, both in microseconds (0 when adaptive linger is off
-  /// or before two admissions have been observed).
-  long EwmaArrivalGapUs = 0;
-  long LastLingerUs = 0;
-  size_t QueueDepth = 0;
-  size_t DispatchDepth = 0; ///< collector → worker queue (batching only)
-  int Connections = 0;
-};
-
-/// Per-(domain, epoch) outcome counters: reloads don't zero history, so
-/// operators can see exactly which answers were served by which library
-/// generation (the `stats` endpoint's "domains" section).
-struct EpochCounters {
-  long Accepted = 0;
-  long Solved = 0;
-  long NoSolution = 0;
-  long Timeout = 0;
 };
 
 class Server {
@@ -167,46 +127,60 @@ public:
     return ShutdownRequested.load(std::memory_order_acquire);
   }
 
-  ServerStats stats() const;
+  /// The body of the `stats` endpoint. Outcome counts come from one
+  /// store: per-(domain, epoch) rows of accepted, rejected, solved,
+  /// no_solution and timeout (the top-level totals are their sums), plus
+  /// server-level counts of events that never reach an epoch.
+  Json stats() const;
 
   /// Folds a reload performed outside the protocol (the SIGHUP path in
   /// dc_serve, which calls ServiceRegistry::reload directly) into the
-  /// reloads/failed_reloads counters so `stats` reflects every swap.
+  /// reloads/failed_reloads counts so `stats` reflects every swap.
   void noteReload(bool Success) {
-    (Success ? Reloads : FailedReloads)
-        .fetch_add(1, std::memory_order_relaxed);
+    count(Success ? &ServerCounts::Reloads : &ServerCounts::FailedReloads);
   }
-
-  /// Snapshot of the per-(domain, epoch) counters (tests; the stats
-  /// endpoint renders the same data as JSON).
-  std::map<std::pair<std::string, unsigned long>, EpochCounters>
-  epochStats() const;
 
 private:
   struct Connection;
   struct Pending;
 
+  /// Outcomes of the solves admitted against one (domain, epoch)
+  /// snapshot. Rejected covers overloaded and shutting_down.
+  struct EpochRow {
+    long Accepted = 0, Rejected = 0, Solved = 0, NoSolution = 0,
+         Timeout = 0;
+  };
+  /// Events that have no epoch.
+  struct ServerCounts {
+    long BadRequest = 0, UnknownMethod = 0, UnknownDomain = 0,
+         UnknownTask = 0, Reloads = 0, FailedReloads = 0,
+         BatchedPredicts = 0;
+  };
+  /// A live connection and the reader thread serving it.
+  struct ConnectionEntry {
+    std::shared_ptr<Connection> Conn;
+    std::thread Reader;
+  };
+
   Server() = default;
 
   void acceptLoop();
+  /// Joins and forgets the readers whose connections have closed.
+  void pruneConnections();
   void readerLoop(std::shared_ptr<Connection> Conn);
   void workerLoop();
-  /// Micro-batching stage (only runs when batching is enabled): drains
-  /// the admission queue in linger-bounded batches, attaches batched
-  /// recognition predictions, and forwards to the dispatch queue.
+  /// Moves admitted requests to the workers: one at a time with
+  /// MaxBatch 1, else in linger-bounded batches with batched
+  /// recognition predictions attached.
   void collectorLoop();
-  /// Effective per-domain batching knobs: the domain's override when
-  /// set, else the server-wide config.
-  int effectiveMaxBatch(const Service &Svc) const;
-  long effectiveLingerMicros(const Service &Svc) const;
   void handleLine(const std::shared_ptr<Connection> &Conn,
                   const std::string &Line);
   void handleSolve(const std::shared_ptr<Connection> &Conn, const Json &Id,
                    const Json &Params);
   void handleReload(const std::shared_ptr<Connection> &Conn, const Json &Id,
                     const Json &Params);
-  void bumpEpochCounter(const Service &Svc, long EpochCounters::*Field);
-  Json buildStats() const;
+  void count(const Service &Svc, long EpochRow::*Field);
+  void count(long ServerCounts::*Field);
   void teardown();
 
   ServiceRegistry *Registry = nullptr;
@@ -218,34 +192,23 @@ private:
   int WakePipe[2] = {-1, -1};
 
   std::unique_ptr<BoundedQueue<Pending>> Queue;
-  /// Second-stage queue between the collector and the workers; null
-  /// when batching is disabled (workers then pop Queue directly).
+  /// Second-stage queue between the collector and the workers.
   std::unique_ptr<BoundedQueue<Pending>> Dispatch;
   std::thread Acceptor;
-  std::thread Collector; ///< joinable only when batching is enabled
+  std::thread Collector;
   std::vector<std::thread> Workers;
-  std::mutex ReadersMutex;
-  std::vector<std::thread> Readers; ///< guarded by ReadersMutex
-  std::mutex ConnectionsMutex;
-  std::vector<std::weak_ptr<Connection>> Connections;
+  mutable std::mutex ConnectionsMutex;
+  std::vector<ConnectionEntry> Connections; ///< guarded by ConnectionsMutex
 
   std::atomic<bool> ShutdownRequested{false};
   std::atomic<bool> TornDown{false};
   std::mutex TeardownMutex;
 
-  // Operational counters (see ServerStats).
-  std::atomic<long> Accepted{0}, Rejected{0}, Solved{0}, NoSolution{0},
-      Timeouts{0}, BadRequests{0}, Reloads{0}, FailedReloads{0},
-      BatchedPredicts{0};
-  /// Published by the collector when adaptive linger is on (ServerStats).
-  std::atomic<long> EwmaArrivalGapUs{0}, LastLingerUs{0};
-  std::atomic<int> OpenConnections{0};
-
-  /// (domain, epoch) -> outcome counters; ordered so the stats endpoint
-  /// renders epochs in ascending order.
-  mutable std::mutex EpochStatsMutex;
-  std::map<std::pair<std::string, unsigned long>, EpochCounters>
-      EpochStats;
+  /// The outcome-counter store. Epoch rows are ordered so `stats`
+  /// renders epochs in ascending order; reloads never zero a row.
+  mutable std::mutex CountsMutex;
+  std::map<std::pair<std::string, unsigned long>, EpochRow> EpochRows;
+  ServerCounts Counts;
 };
 
 } // namespace dc::serve

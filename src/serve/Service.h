@@ -62,11 +62,6 @@ struct ServiceConfig {
   long DefaultNodeBudget = 0;  ///< 0 = the domain's tuned budget
   long MaxNodeBudget = 5000000; ///< cap on client-requested budgets
   int DefaultFrontierSize = 5;
-  /// Per-domain micro-batching overrides (DESIGN.md §9): -1 inherits
-  /// the server-wide ServerConfig value. MaxBatch 1 disables batching
-  /// for this domain (its requests dispatch immediately, no linger).
-  int MaxBatch = -1;
-  long BatchLingerMicros = -1;
 };
 
 /// One solve() answer.

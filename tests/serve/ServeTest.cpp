@@ -332,6 +332,18 @@ TEST(ServeQueueTest, PopUntilTimesOutAndDrains) {
   EXPECT_FALSE(Q.popUntil(Soon()).has_value()) << "closed and drained";
 }
 
+TEST(ServeQueueTest, WaitForIdleConsumerReturnsOncePopWaits) {
+  BoundedQueue<int> Q(4);
+  std::atomic<int> Got{-1};
+  std::thread Consumer([&] { Got = Q.pop().value_or(-2); });
+  Q.waitForIdleConsumer(); // only returns once Consumer blocks in pop()
+  ASSERT_EQ(Q.tryPush(7), PushResult::Ok);
+  Consumer.join();
+  EXPECT_EQ(Got.load(), 7);
+  Q.close();
+  Q.waitForIdleConsumer(); // a closed queue never blocks the caller
+}
+
 TEST(ServeQueueTest, PushWaitBlocksInsteadOfDropping) {
   // pushWait is the collector's handover primitive: admitted work must
   // never be dropped, so a full dispatch queue blocks the collector
@@ -824,6 +836,25 @@ std::string carRequest(const char *Id) {
          R"("timeout_ms":60000,"node_budget":50000}})";
 }
 
+/// A top-level count of a stats() body.
+long long statCount(const Json &Stats, const char *Key) {
+  const Json *V = Stats.find(Key);
+  return V ? V->asInteger() : -1;
+}
+
+/// One outcome count of a (domain, epoch) row of a stats() body; -1 when
+/// the row is missing.
+long long epochCount(const Json &Stats, const std::string &Domain,
+                     long long Epoch, const char *Key) {
+  const Json *D = Stats.find("domains")->find(Domain);
+  if (!D)
+    return -1;
+  for (const Json &Row : D->find("epochs")->items())
+    if (Row.find("epoch")->asInteger() == Epoch)
+      return Row.find(Key)->asInteger();
+  return -1;
+}
+
 /// The full scored program list of a solve response — the bit-identity
 /// fingerprint reload tests compare across epochs.
 std::string programsSignature(const Json &Response) {
@@ -909,13 +940,11 @@ TEST(ServeServerTest, EndToEndSolveHealthStats) {
 
   Srv->requestShutdown();
   Srv->waitForShutdown();
-  ServerStats Final = Srv->stats();
-  EXPECT_EQ(Final.Solved, 2);
-  EXPECT_EQ(Final.Timeout, 1);
-  auto ES = Srv->epochStats();
-  ASSERT_EQ((ES.count({"list", 1ul})), 1u);
-  EXPECT_EQ((ES[{"list", 1ul}].Solved), 2);
-  EXPECT_EQ((ES[{"list", 1ul}].Timeout), 1);
+  Json Final = Srv->stats();
+  EXPECT_EQ(statCount(Final, "solved"), 2);
+  EXPECT_EQ(statCount(Final, "timeout"), 1);
+  EXPECT_EQ(epochCount(Final, "list", 1, "solved"), 2);
+  EXPECT_EQ(epochCount(Final, "list", 1, "timeout"), 1);
 }
 
 TEST(ServeServerTest, OverloadRejectionAndGracefulDrain) {
@@ -976,10 +1005,10 @@ TEST(ServeServerTest, OverloadRejectionAndGracefulDrain) {
   EXPECT_EQ(RespB.find("error")->find("code")->asString(), "timeout");
 
   Srv->waitForShutdown();
-  ServerStats Final = Srv->stats();
-  EXPECT_EQ(Final.Accepted, 2);
-  EXPECT_GE(Final.Rejected, 2); // C overloaded + D shutting_down
-  EXPECT_EQ(Final.Timeout, 2);
+  Json Final = Srv->stats();
+  EXPECT_EQ(statCount(Final, "accepted"), 2);
+  EXPECT_GE(statCount(Final, "rejected"), 2); // C overloaded + D shutting_down
+  EXPECT_EQ(statCount(Final, "timeout"), 2);
 }
 
 TEST(ServeServerTest, HotReloadUnderLoad) {
@@ -1069,13 +1098,13 @@ TEST(ServeServerTest, HotReloadUnderLoad) {
 
   Srv->requestShutdown();
   Srv->waitForShutdown();
-  auto ES = Srv->epochStats();
-  EXPECT_EQ((ES[{"list", 1ul}].Solved), 2);  // base + pre
-  EXPECT_EQ((ES[{"list", 1ul}].Timeout), 1); // slow
-  EXPECT_EQ((ES[{"list", 2ul}].Solved), 1);  // post
-  ServerStats Final = Srv->stats();
-  EXPECT_EQ(Final.Accepted, 4);
-  EXPECT_EQ(Final.Rejected, 0) << "reload must drop no admitted work";
+  Json Final = Srv->stats();
+  EXPECT_EQ(epochCount(Final, "list", 1, "solved"), 2);  // base + pre
+  EXPECT_EQ(epochCount(Final, "list", 1, "timeout"), 1); // slow
+  EXPECT_EQ(epochCount(Final, "list", 2, "solved"), 1);  // post
+  EXPECT_EQ(statCount(Final, "accepted"), 4);
+  EXPECT_EQ(statCount(Final, "rejected"), 0)
+      << "reload must drop no admitted work";
 }
 
 TEST(ServeServerTest, ReloadFailedLeavesOldEpochServing) {
@@ -1114,9 +1143,9 @@ TEST(ServeServerTest, ReloadFailedLeavesOldEpochServing) {
 
   Srv->requestShutdown();
   Srv->waitForShutdown();
-  ServerStats Final = Srv->stats();
-  EXPECT_EQ(Final.Reloads, 0);
-  EXPECT_EQ(Final.FailedReloads, 1);
+  Json Final = Srv->stats();
+  EXPECT_EQ(statCount(Final, "reloads"), 0);
+  EXPECT_EQ(statCount(Final, "failed_reloads"), 1);
 }
 
 TEST(ServeServerTest, BatchedAnswersMatchUnbatched) {
@@ -1170,7 +1199,7 @@ TEST(ServeServerTest, BatchedAnswersMatchUnbatched) {
     Srv->requestShutdown();
     Srv->waitForShutdown();
     if (Batched) {
-      EXPECT_GE(Srv->stats().BatchedPredicts, 1);
+      EXPECT_GE(statCount(Srv->stats(), "batched_predicts"), 1);
     }
     return Sigs;
   };
@@ -1255,9 +1284,164 @@ TEST(ServeServerTest, BatchedHotReloadNeverMixesEpochs) {
 
   Srv->requestShutdown();
   Srv->waitForShutdown();
-  auto ES = Srv->epochStats();
-  EXPECT_EQ((ES[{"list", 1ul}].Solved), 2);  // base + pre
-  EXPECT_EQ((ES[{"list", 1ul}].Timeout), 1); // slow
-  EXPECT_EQ((ES[{"list", 2ul}].Solved), 1);  // post
-  EXPECT_GE(Srv->stats().BatchedPredicts, 1);
+  Json Final = Srv->stats();
+  EXPECT_EQ(epochCount(Final, "list", 1, "solved"), 2);  // base + pre
+  EXPECT_EQ(epochCount(Final, "list", 1, "timeout"), 1); // slow
+  EXPECT_EQ(epochCount(Final, "list", 2, "solved"), 1);  // post
+  EXPECT_GE(statCount(Final, "batched_predicts"), 1);
+}
+
+TEST(ServeServerTest, EveryResponseIsCountedOnce) {
+  // One request for every error code the server produces (internal has
+  // no trigger) plus solves with each outcome. Every response but
+  // health/stats lands in exactly one count of the store.
+  ServiceRegistry Reg;
+  ASSERT_TRUE(Reg.install(makeListService()));
+  ServerConfig SC;
+  SC.Workers = 1;
+  SC.QueueCapacity = 1;
+  SC.MaxLineBytes = 1024;
+  std::string Err;
+  std::unique_ptr<Server> Srv = Server::start(Reg, SC, &Err);
+  ASSERT_TRUE(Srv) << Err;
+
+  TestClient C(Srv->port()), A(Srv->port()), B(Srv->port()),
+      Probe(Srv->port());
+  ASSERT_TRUE(C.connected() && A.connected() && B.connected() &&
+              Probe.connected());
+  std::map<std::string, int> Codes;
+  int Responses = 0;
+  auto Tally = [&](const Json &Resp) {
+    ++Responses;
+    const Json *Error = Resp.find("error");
+    const Json *Result = Resp.find("result");
+    const Json *Status = Result ? Result->find("status") : nullptr;
+    ++Codes[Error    ? Error->find("code")->asString()
+            : Status ? Status->asString()
+            : Result ? "reloaded"
+                     : "no response"];
+  };
+
+  Tally(C.roundTrip(identityRequest("solved")));
+  Tally(C.roundTrip(
+      R"({"id":"ns","method":"solve","params":{"request":"int -> int",)"
+      R"("examples":[{"inputs":[1],"output":2},{"inputs":[1],"output":3}],)"
+      R"("timeout_ms":60000,"node_budget":2000}})"));
+  Tally(C.roundTrip("not json at all"));
+  Tally(C.roundTrip(R"({"id":1,"method":"frobnicate"})"));
+  Tally(C.roundTrip(R"({"id":2,"method":"solve","params":{"task":"?"}})"));
+  Tally(C.roundTrip(identityRequest("nd", "text")));
+  Tally(C.roundTrip(
+      R"({"id":3,"method":"reload","params":{"domain":"text"}})"));
+  Tally(C.roundTrip(R"({"id":4,"method":"reload","params":)"
+                    R"({"checkpoint":"/nonexistent/lib.ckpt"}})"));
+  Tally(C.roundTrip(R"({"id":5,"method":"reload"})"));
+  {
+    // Exactly one byte over the limit: the server has read the whole
+    // line when it answers, so closing cannot reset the answer away.
+    TestClient Long(Srv->port());
+    ASSERT_TRUE(Long.connected());
+    Long.sendLine(std::string(SC.MaxLineBytes, 'x'));
+    Tally(Long.recvLine());
+  }
+
+  // A runs, B waits in the queue, a third solve is overloaded; after
+  // shutdown a fourth is shutting_down and A and B drain as timeouts.
+  auto Occupancy = [&]() -> std::pair<long long, long long> {
+    Json S = Probe.roundTrip(R"({"id":"p","method":"stats"})");
+    return {statCount(*S.find("result"), "accepted"),
+            statCount(*S.find("result"), "queue_depth")};
+  };
+  auto WaitFor = [&](long long Accepted, long long Depth) {
+    for (int I = 0; I < 400; ++I) {
+      if (Occupancy() == std::make_pair(Accepted, Depth))
+        return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+  A.sendLine(slowRequest("a", 2000));
+  ASSERT_TRUE(WaitFor(3, 0)) << "A never reached the worker";
+  B.sendLine(slowRequest("b", 2000));
+  ASSERT_TRUE(WaitFor(4, 1)) << "B never queued";
+  Tally(C.roundTrip(slowRequest("c", 2000)));
+  Srv->requestShutdown();
+  Tally(C.roundTrip(slowRequest("d", 2000)));
+  Tally(A.recvLine());
+  Tally(B.recvLine());
+  Srv->waitForShutdown();
+
+  EXPECT_EQ(Codes, (std::map<std::string, int>{{"bad_request", 2},
+                                               {"no_solution", 1},
+                                               {"overloaded", 1},
+                                               {"reload_failed", 1},
+                                               {"reloaded", 1},
+                                               {"shutting_down", 1},
+                                               {"solved", 1},
+                                               {"timeout", 2},
+                                               {"unknown_domain", 2},
+                                               {"unknown_method", 1},
+                                               {"unknown_task", 1}}));
+  Json Final = Srv->stats();
+  long long Counted = 0;
+  for (const char *Key :
+       {"accepted", "rejected", "bad_request", "unknown_method",
+        "unknown_domain", "unknown_task", "reloads", "failed_reloads"})
+    Counted += statCount(Final, Key);
+  EXPECT_EQ(Counted, Responses) << Final.dump();
+  EXPECT_EQ(statCount(Final, "accepted"),
+            statCount(Final, "solved") + statCount(Final, "no_solution") +
+                statCount(Final, "timeout"));
+  EXPECT_EQ(statCount(Final, "rejected"), 2);
+  EXPECT_EQ(statCount(Final, "bad_request"), 2);
+  EXPECT_EQ(statCount(Final, "unknown_domain"), 2);
+  // The reload split the solves across epochs; the rows sum to the
+  // totals.
+  for (const char *Key :
+       {"accepted", "rejected", "solved", "no_solution", "timeout"}) {
+    EXPECT_EQ(epochCount(Final, "list", 1, Key) +
+                  epochCount(Final, "list", 2, Key),
+              statCount(Final, Key))
+        << Key;
+  }
+  EXPECT_EQ(epochCount(Final, "list", 2, "timeout"), 2);
+}
+
+namespace {
+
+/// One numeric field of /proc/self/status (Threads, VmSize in kB).
+long procStatus(const std::string &Key) {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.compare(0, Key.size() + 1, Key + ":") == 0)
+      return std::stol(Line.substr(Key.size() + 1));
+  return -1;
+}
+
+} // namespace
+
+TEST(ServeServerTest, ClosedConnectionsReleaseTheirReaders) {
+  // Each connection gets a reader thread; it must be joined once the
+  // connection closes, not at shutdown, or every past connection keeps
+  // its stack mapped.
+  ServiceRegistry Reg;
+  ASSERT_TRUE(Reg.install(makeListService()));
+  std::string Err;
+  std::unique_ptr<Server> Srv = Server::start(Reg, ServerConfig(), &Err);
+  ASSERT_TRUE(Srv) << Err;
+
+  const long ThreadsBefore = procStatus("Threads");
+  const long VmBeforeKb = procStatus("VmSize");
+  ASSERT_GT(ThreadsBefore, 0);
+  for (int I = 0; I < 2000; ++I) {
+    TestClient C(Srv->port());
+    ASSERT_TRUE(C.connected()) << "connection " << I;
+    Json Health = C.roundTrip(R"({"id":"h","method":"health"})");
+    ASSERT_TRUE(Health.find("ok")) << "connection " << I;
+  }
+  EXPECT_LE(procStatus("Threads"), ThreadsBefore + 4);
+  // A finished but unjoined reader leaves Threads yet keeps its stack
+  // mapped: 2000 of them would add ~16 GB of VmSize.
+  EXPECT_LT(procStatus("VmSize") - VmBeforeKb, 512L * 1024);
 }

@@ -31,6 +31,7 @@ dc_serve binary and exits nonzero on the first failed check.
 import argparse
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -181,6 +182,24 @@ def check(cond, what):
     print("ok: " + what)
 
 
+OUTCOMES = ("accepted", "rejected", "solved", "no_solution", "timeout")
+
+
+def check_counts(stats, scenario):
+    """Once every response has arrived, each admitted solve has exactly
+    one outcome, and the per-(domain, epoch) rows sum to the totals."""
+    check(
+        stats["accepted"]
+        == stats["solved"] + stats["no_solution"] + stats["timeout"],
+        "%s: accepted == solved + no_solution + timeout" % scenario,
+    )
+    rows = [r for d in stats["domains"].values() for r in d["epochs"]]
+    check(
+        all(sum(r[k] for r in rows) == stats[k] for k in OUTCOMES),
+        "%s: epoch rows sum to the top-level totals" % scenario,
+    )
+
+
 def smoke(args):
     common = ["--domain", args.domain]
     if args.checkpoint:
@@ -271,6 +290,7 @@ def smoke(args):
             c.request("health").get("ok"),
             "connection still usable after bad_request",
         )
+        check_counts(c.request("stats")["result"], "scenario 1")
         c.close()
 
         srv.sigterm()
@@ -355,12 +375,20 @@ def smoke(args):
 
         rc, out = srv.wait()
         check(rc == 0, "scenario-2 server exits 0 after draining")
-        check("served" in out, "final stats line printed")
+        served = re.search(
+            r"served (\d+) requests \((\d+) solved, (\d+) no-solution, "
+            r"(\d+) timeout", out)
+        check(served is not None, "final stats line printed")
+        n, solved, no_solution, timeout = map(int, served.groups())
+        check(
+            n == 2 and n == solved + no_solution + timeout,
+            "scenario 2: final line counts both admitted solves once",
+        )
 
         with open(metrics_path) as f:
             metrics = json.load(f)
         check(
-            any(k.startswith("serve.") for k in metrics.get("counters", {})),
+            any(k.startswith("serve.") for k in metrics.get("histograms", {})),
             "shutdown flushed serve.* metrics",
         )
         with open(trace_path) as f:
@@ -380,13 +408,11 @@ def smoke(args):
     # its linger window before dispatching. Batched answers must be
     # bit-identical to sequential ones, and a lone request must still be
     # answered promptly (the linger bounds its extra latency).
-    # The batching flags are position-dependent (before --domain = the
-    # server-wide default); here every domain should batch.
     srv = ServerProcess(
         args.server,
-        ["--max-batch", "4", "--batch-linger-us", "50000"]
-        + common
-        + ["--workers", "1", "--queue", "8"],
+        common
+        + ["--max-batch", "4", "--batch-linger-us", "50000",
+           "--workers", "1", "--queue", "8"],
     )
     try:
         c = srv.connect()
@@ -432,6 +458,7 @@ def smoke(args):
                 stats.get("batched_predicts", 0) >= 1,
                 "collector ran at least one batched prediction",
             )
+        check_counts(stats, "scenario 3")
         c.close()
 
         srv.sigterm()
@@ -515,6 +542,7 @@ def smoke(args):
                 json.dumps(post["result"]["programs"]) != sig_a,
                 "post-reload answers reflect checkpoint B",
             )
+            check_counts(c.request("stats")["result"], "scenario 4")
             c.close()
 
             srv.sigterm()

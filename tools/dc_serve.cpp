@@ -26,6 +26,8 @@
 #include "obs/Trace.h"
 #include "serve/Server.h"
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +52,6 @@ void usage(const char *Argv0) {
       "          [--port N] [--port-file PATH]\n"
       "          [--workers N] [--queue N] [--default-timeout-ms N]\n"
       "          [--max-batch N] [--batch-linger-us N]\n"
-      "          [--adaptive-linger]\n"
       "          [--metrics-out PATH] [--trace-out PATH] [--verbose]\n"
       "--domain:     may repeat to serve several domains from one\n"
       "              process; requests route by their \"domain\" field,\n"
@@ -70,18 +71,12 @@ void usage(const char *Argv0) {
       "--default-timeout-ms: per-request deadline when the request sets\n"
       "              none (default 5000)\n"
       "--max-batch:  micro-batch recognition predictions across up to N\n"
-      "              queued solve requests (default 1 = off). Position-\n"
-      "              dependent: before the first --domain it sets the\n"
-      "              server-wide default, after a --domain it overrides\n"
-      "              that domain only\n"
+      "              queued solve requests, server-wide (default 1 = off)\n"
       "--batch-linger-us: how long the collector waits for batch-mates\n"
-      "              (default 2000); position-dependent like --max-batch.\n"
-      "              A lone request is never delayed beyond this window\n"
-      "--adaptive-linger: size each batch wait from the observed arrival\n"
-      "              rate (EWMA of admission gaps) instead of always\n"
-      "              spending the full linger; the configured linger\n"
-      "              stays authoritative as the ceiling. Sparse traffic\n"
-      "              passes straight through with zero added latency\n"
+      "              (default 2000). A lone request is never delayed\n"
+      "              beyond this window\n"
+      "numbers:      every numeric flag takes a whole decimal integer in\n"
+      "              range; anything else prints this message, exit 2\n"
       "signals: SIGHUP reloads every domain's checkpoint+model from disk\n"
       "         and atomically publishes the new library epoch (nothing\n"
       "         in flight is dropped); SIGTERM/SIGINT drain and exit 0\n"
@@ -93,6 +88,25 @@ void usage(const char *Argv0) {
 /// of the few async-signal-safe calls); a watcher thread does the real
 /// work — reload on 'H', shutdown on 'T' — in normal thread context.
 int SignalPipe[2] = {-1, -1};
+
+/// A numeric flag's value: a whole decimal integer in [Min, Max].
+/// Anything else (empty, non-numeric, trailing characters, out of range)
+/// prints the usage message and exits 2.
+long long parseNumber(const char *Argv0, const char *Flag, const char *Text,
+                      long long Min, long long Max) {
+  errno = 0;
+  char *End = nullptr;
+  long long V = std::strtoll(Text, &End, 10);
+  if (End == Text || *End != '\0' || errno == ERANGE || V < Min ||
+      V > Max) {
+    std::fprintf(stderr,
+                 "error: %s takes an integer in [%lld, %lld], got '%s'\n",
+                 Flag, Min, Max, Text);
+    usage(Argv0);
+    std::exit(2);
+  }
+  return V;
+}
 
 void onSignal(int Sig) {
   char Byte = Sig == SIGHUP ? 'H' : 'T';
@@ -138,46 +152,37 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto Number = [&](long long Min, long long Max) {
+      const char *Flag = Argv[I];
+      return parseNumber(Argv[0], Flag, Next(), Min, Max);
+    };
     if (!std::strcmp(Argv[I], "--domain")) {
       Domains.emplace_back();
       Domains.back().DomainName = Next();
     } else if (!std::strcmp(Argv[I], "--seed"))
-      Current().DomainSeed = static_cast<unsigned>(std::atoi(Next()));
+      Current().DomainSeed = static_cast<unsigned>(Number(0, UINT_MAX));
     else if (!std::strcmp(Argv[I], "--checkpoint"))
       Current().CheckpointPath = Next();
     else if (!std::strcmp(Argv[I], "--model"))
       Current().ModelPath = Next();
     else if (!std::strcmp(Argv[I], "--node-budget"))
-      Current().DefaultNodeBudget = std::atol(Next());
+      Current().DefaultNodeBudget = Number(0, LONG_MAX);
     else if (!std::strcmp(Argv[I], "--max-node-budget"))
-      Current().MaxNodeBudget = std::atol(Next());
+      Current().MaxNodeBudget = Number(1, LONG_MAX);
     else if (!std::strcmp(Argv[I], "--port"))
-      SrvConfig.Port = std::atoi(Next());
+      SrvConfig.Port = static_cast<int>(Number(0, 65535));
     else if (!std::strcmp(Argv[I], "--port-file"))
       PortFile = Next();
     else if (!std::strcmp(Argv[I], "--workers"))
-      SrvConfig.Workers = std::atoi(Next());
+      SrvConfig.Workers = static_cast<int>(Number(1, 1024));
     else if (!std::strcmp(Argv[I], "--queue"))
-      SrvConfig.QueueCapacity = std::atoi(Next());
+      SrvConfig.QueueCapacity = static_cast<int>(Number(1, INT_MAX));
     else if (!std::strcmp(Argv[I], "--default-timeout-ms"))
-      SrvConfig.DefaultTimeoutMs = std::atol(Next());
-    else if (!std::strcmp(Argv[I], "--max-batch")) {
-      // Before any --domain: the server-wide default. After one: that
-      // domain's override (unlike other per-domain flags, this one does
-      // not implicitly open the default domain).
-      int V = std::atoi(Next());
-      if (Domains.empty())
-        SrvConfig.MaxBatch = V;
-      else
-        Domains.back().MaxBatch = V;
-    } else if (!std::strcmp(Argv[I], "--batch-linger-us")) {
-      long V = std::atol(Next());
-      if (Domains.empty())
-        SrvConfig.BatchLingerMicros = V;
-      else
-        Domains.back().BatchLingerMicros = V;
-    } else if (!std::strcmp(Argv[I], "--adaptive-linger"))
-      SrvConfig.AdaptiveLinger = true;
+      SrvConfig.DefaultTimeoutMs = Number(1, INT_MAX);
+    else if (!std::strcmp(Argv[I], "--max-batch"))
+      SrvConfig.MaxBatch = static_cast<int>(Number(1, 1024));
+    else if (!std::strcmp(Argv[I], "--batch-linger-us"))
+      SrvConfig.BatchLingerMicros = Number(0, INT_MAX);
     else if (!std::strcmp(Argv[I], "--metrics-out"))
       MetricsPath = Next();
     else if (!std::strcmp(Argv[I], "--trace-out"))
@@ -280,11 +285,13 @@ int main(int Argc, char **Argv) {
   ::close(SignalPipe[0]);
   ::close(SignalPipe[1]);
 
-  ServerStats Final = Srv->stats();
-  std::printf("served %ld requests (%ld solved, %ld no-solution, "
-              "%ld timeout, %ld rejected, %ld bad, %ld reloads)\n",
-              Final.Accepted, Final.Solved, Final.NoSolution, Final.Timeout,
-              Final.Rejected, Final.BadRequest, Final.Reloads);
+  Json Final = Srv->stats();
+  auto Stat = [&](const char *Key) { return Final.find(Key)->asInteger(); };
+  std::printf("served %lld requests (%lld solved, %lld no-solution, "
+              "%lld timeout, %lld rejected, %lld bad, %lld reloads)\n",
+              Stat("accepted"), Stat("solved"), Stat("no_solution"),
+              Stat("timeout"), Stat("rejected"), Stat("bad_request"),
+              Stat("reloads"));
 
   if (!MetricsPath.empty()) {
     std::ofstream Out(MetricsPath);
