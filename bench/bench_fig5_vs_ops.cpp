@@ -1,8 +1,9 @@
 //===- bench/bench_fig5_vs_ops.cpp - Version-space operator microbenches --===//
 //
 // google-benchmark timings for the Fig 5 operators (incorporate, shift,
-// one-step inversion, n-step closures, extraction) on representative list
-// programs. These bound the cost of one abstraction-sleep phase.
+// one-step inversion, n-step closures, extraction, candidate cones) on
+// representative list programs. These bound the cost of one
+// abstraction-sleep phase.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +12,8 @@
 #include "vs/VersionSpace.h"
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 using namespace dc;
 
@@ -83,6 +86,40 @@ void BM_ExtractionAfterClosure(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ExtractionAfterClosure);
+
+// The two scoring-side passes of a greedy compression round, on the
+// largest closure above (n=3): the dense prewarm extraction of every node,
+// and a candidate's cone (reverse-edge index build plus the walk from one
+// shared subterm). Items are table nodes.
+void BM_ExtractAll(benchmark::State &State) {
+  ExprPtr P = recursiveProgram();
+  VersionTable VT;
+  VT.betaClosure(P, 3);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(VT.extractAll());
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(VT.size()));
+  State.counters["graph_nodes"] = static_cast<double>(VT.size());
+}
+BENCHMARK(BM_ExtractAll)->Unit(benchmark::kMillisecond);
+
+void BM_ConeAbove(benchmark::State &State) {
+  ExprPtr P = recursiveProgram();
+  VersionTable VT;
+  VT.betaClosure(P, 3);
+  VsId Candidate = VT.incorporate(parseProgram("(car $0)"));
+  size_t ConeNodes = 0;
+  for (auto _ : State) {
+    std::vector<char> Cone = VT.coneAbove(Candidate, VT.parentIndex());
+    ConeNodes = static_cast<size_t>(std::count(Cone.begin(), Cone.end(), 1));
+    benchmark::DoNotOptimize(Cone.data());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(VT.size()));
+  State.counters["graph_nodes"] = static_cast<double>(VT.size());
+  State.counters["cone_nodes"] = static_cast<double>(ConeNodes);
+}
+BENCHMARK(BM_ConeAbove)->Unit(benchmark::kMillisecond);
 
 void BM_MembershipCheck(benchmark::State &State) {
   ExprPtr P = fixtureProgram();

@@ -4,6 +4,7 @@
 #include "core/Primitives.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace dc;
 
@@ -142,7 +143,10 @@ private:
           return error("malformed de Bruijn index '" + Atom + "'");
       if (Atom.size() == 1)
         return error("malformed de Bruijn index '$'");
-      return Expr::index(std::stoi(Atom.substr(1)));
+      int Index = 0;
+      if (!parseWhole(Atom.substr(1), Index))
+        return error("de Bruijn index out of range '" + Atom + "'");
+      return Expr::index(Index);
     }
     if (ExprPtr P = lookupPrimitive(Atom))
       return P;
@@ -153,10 +157,23 @@ private:
     if (IsInt) {
       for (size_t I = 1; I < Atom.size(); ++I)
         IsInt = IsInt && std::isdigit(static_cast<unsigned char>(Atom[I]));
-      if (IsInt)
-        return intPrimitive(std::stol(Atom));
+      if (IsInt) {
+        long Value = 0;
+        if (!parseWhole(Atom, Value))
+          return error("integer literal out of range '" + Atom + "'");
+        return intPrimitive(Value);
+      }
     }
     return error("unknown primitive '" + Atom + "'");
+  }
+
+  /// Parses all of \p Digits (an optional '-' then decimal digits) into
+  /// \p Out; false when the value does not fit its type.
+  template <typename T> static bool parseWhole(const std::string &Digits,
+                                               T &Out) {
+    const char *End = Digits.data() + Digits.size();
+    auto [Ptr, Ec] = std::from_chars(Digits.data(), End, Out);
+    return Ec == std::errc() && Ptr == End;
   }
 
   const std::string &Src;

@@ -537,17 +537,15 @@ void runVersionSpaceRounds(CompressionResult &Result,
                                           : A.second < B.second;
               });
 
-    // One candidate-independent extraction cache shared by the proposal
-    // scan and by out-of-cone nodes during per-candidate rewriting.
-    // Pre-warming it on every closure root up front makes it strictly
-    // read-only for everything that follows: proposal workers and scoring
-    // workers alike layer private overlays on top of it.
-    std::unordered_map<VsId, Extraction> SharedCache;
+    // One candidate-independent extraction of every node, shared by the
+    // proposal scan and by out-of-cone nodes during per-candidate
+    // rewriting. Computing it up front makes it strictly read-only for
+    // everything that follows: proposal workers and scoring workers alike
+    // layer private overlays on top of it for nodes interned later.
+    std::vector<Extraction> Prewarmed;
     {
       obs::ScopedSpan PrewarmSpan("compress.prewarm");
-      for (size_t X = 0; X < Closures.size(); ++X)
-        for (VsId Root : Closures[X])
-          VT.extractCheapest(Root, SharedCache);
+      Prewarmed = VT.extractAll();
     }
 
     // Validate the ranked spaces into concrete proposals. The pure,
@@ -576,7 +574,7 @@ void runVersionSpaceRounds(CompressionResult &Result,
       parallelFor(Params.NumThreads, ChunkEnd - ChunkStart, [&](size_t K) {
         VsId V = Ranked[ChunkStart + K].second;
         std::unordered_map<VsId, Extraction> Overlay;
-        ExprPtr Term = VT.extractLayered(V, SharedCache, Overlay).Program;
+        ExprPtr Term = VT.extractLayered(V, Prewarmed, Overlay).Program;
         if (!Term)
           return;
         // Normalize the invention (the OCaml system's
@@ -641,6 +639,14 @@ void runVersionSpaceRounds(CompressionResult &Result,
     }
     if (Candidates.empty())
       break;
+    // Admission's incorporate() calls were the round's last interning, so
+    // the reverse edges are final: each candidate's cone is then a walk
+    // over its own ancestors instead of a scan of the table.
+    VsParentIndex Parents;
+    {
+      obs::ScopedSpan IndexSpan("compress.parent_index");
+      Parents = VT.parentIndex();
+    }
 
     // Hand each candidate its rewrite-memo sub-map up front, serially:
     // anchors are unique within a round (admission dedups bodies, and the
@@ -659,8 +665,8 @@ void runVersionSpaceRounds(CompressionResult &Result,
     }
 #endif
     // Package the candidates for the shared scoring round: the rewrite
-    // hook runs inside a scoring worker, against the read-only
-    // table/shared cache with a private overlay.
+    // hook runs inside a scoring worker, against the read-only table,
+    // parent index and prewarmed extractions with a private overlay.
     std::vector<RoundCandidate> RoundCands;
     RoundCands.reserve(Candidates.size());
     for (size_t CI = 0; CI < Candidates.size(); ++CI) {
@@ -668,10 +674,10 @@ void runVersionSpaceRounds(CompressionResult &Result,
       std::unordered_map<ExprPtr, ExprPtr> *Memo = Memos[CI];
       RoundCands.push_back(
           {C.Invention, C.TasksCovered,
-           [C, Memo, &VT, &Closures, &SharedCache,
+           [C, Memo, &VT, &Closures, &Prewarmed, &Parents,
             &Params](std::vector<Frontier> &Rewritten, size_t RoundCI,
                      std::string &Log) {
-             std::vector<char> Cone = VT.coneAbove(C.Space);
+             std::vector<char> Cone = VT.coneAbove(C.Space, Parents);
              std::unordered_map<VsId, Extraction> Overlay;
              for (size_t X = 0; X < Rewritten.size(); ++X) {
                auto &Entries = Rewritten[X].entries();
@@ -699,7 +705,7 @@ void runVersionSpaceRounds(CompressionResult &Result,
                  ExprPtr After = Before;
                  Extraction E = VT.extractWithCandidate(
                      Closures[X][I], C.Space, C.RewriteExpr, Cone,
-                     SharedCache, Overlay);
+                     Prewarmed, Overlay);
                  if (E.Program) {
                    ExprPtr Normal = E.Program->betaNormalForm(512);
                    if (Normal) {

@@ -32,61 +32,166 @@ bool extractionImproves(const dc::Extraction &E, const dc::Extraction &Best) {
     return E.Cost < Best.Cost;
   return dc::exprCompare(E.Program, Best.Program) < 0;
 }
+
+/// Structural identity of two nodes as hash-consing sees it.
+bool sameNode(const dc::VsNode &A, const dc::VsNode &B) {
+  if (A.Kind != B.Kind)
+    return false;
+  switch (A.Kind) {
+  case dc::VsKind::Index:
+    return A.Index == B.Index;
+  case dc::VsKind::Terminal:
+    return A.Leaf == B.Leaf;
+  case dc::VsKind::Abstraction:
+    return A.Body == B.Body;
+  case dc::VsKind::Application:
+    return A.Fn == B.Fn && A.Arg == B.Arg;
+  case dc::VsKind::Union:
+    return A.Members == B.Members;
+  default:
+    return true;
+  }
+}
+
+/// Calls \p F on each child edge of \p N, in member order.
+template <typename Fn> void forEachChild(const dc::VsNode &N, Fn &&F) {
+  switch (N.Kind) {
+  case dc::VsKind::Abstraction:
+    F(N.Body);
+    break;
+  case dc::VsKind::Application:
+    F(N.Fn);
+    F(N.Arg);
+    break;
+  case dc::VsKind::Union:
+    for (dc::VsId M : N.Members)
+      F(M);
+    break;
+  default:
+    break;
+  }
+}
+
+/// The extraction recurrence for one node, reading its children's
+/// extractions through \p Child. Every extraction entry point applies
+/// exactly this, so they agree node for node.
+template <typename ChildFn>
+dc::Extraction extractNode(const dc::VsNode &N, ChildFn &&Child) {
+  using dc::Expr;
+  using dc::Extraction;
+  switch (N.Kind) {
+  case dc::VsKind::Void:
+  case dc::VsKind::Universe:
+    break; // inextractable
+  case dc::VsKind::Index:
+    return {1.0, Expr::index(N.Index)};
+  case dc::VsKind::Terminal:
+    return {1.0, N.Leaf};
+  case dc::VsKind::Abstraction: {
+    Extraction Body = Child(N.Body);
+    if (Body.Program)
+      return {EpsilonCost + Body.Cost, Expr::abstraction(Body.Program)};
+    break;
+  }
+  case dc::VsKind::Application: {
+    Extraction Fn = Child(N.Fn);
+    if (!Fn.Program)
+      break;
+    Extraction Arg = Child(N.Arg);
+    if (!Arg.Program)
+      break;
+    return {EpsilonCost + Fn.Cost + Arg.Cost,
+            Expr::application(Fn.Program, Arg.Program)};
+  }
+  case dc::VsKind::Union: {
+    Extraction Best{Infinity, nullptr};
+    for (dc::VsId M : N.Members) {
+      Extraction E = Child(M);
+      if (extractionImproves(E, Best))
+        Best = E;
+    }
+    return Best;
+  }
+  }
+  return {Infinity, nullptr};
+}
 } // namespace
 
-VersionTable::VersionTable() {
+VersionTable::VersionTable() : Slots(64, -1) {
   Nodes.push_back({VsKind::Void, 0, nullptr, -1, -1, -1, {}});
   Nodes.push_back({VsKind::Universe, 0, nullptr, -1, -1, -1, {}});
   VoidId = 0;
   UniverseId = 1;
 }
 
+size_t VersionTable::hashNode(const VsNode &N) {
+  const uint64_t Kind = static_cast<uint64_t>(N.Kind) << 32;
+  switch (N.Kind) {
+  case VsKind::Index:
+    return KeyHash::mix(Kind ^ static_cast<uint32_t>(N.Index));
+  case VsKind::Terminal:
+    return KeyHash::mix(Kind ^ KeyHash()(N.Leaf));
+  case VsKind::Abstraction:
+    return KeyHash::mix(Kind ^ static_cast<uint32_t>(N.Body));
+  case VsKind::Application:
+    return KeyHash::mix(Kind ^ KeyHash()(std::make_pair(N.Fn, N.Arg)));
+  case VsKind::Union: {
+    uint64_t H = Kind;
+    for (VsId M : N.Members)
+      H = KeyHash::mix(H ^ static_cast<uint32_t>(M));
+    return static_cast<size_t>(H);
+  }
+  default:
+    return static_cast<size_t>(Kind);
+  }
+}
+
 VsId VersionTable::intern(VsNode N) {
+  const size_t Mask = Slots.size() - 1;
+  size_t I = hashNode(N) & Mask;
+  for (; Slots[I] >= 0; I = (I + 1) & Mask)
+    if (sameNode(Nodes[Slots[I]], N))
+      return Slots[I];
   Nodes.push_back(std::move(N));
-  return static_cast<VsId>(Nodes.size()) - 1;
+  VsId V = static_cast<VsId>(Nodes.size()) - 1;
+  Slots[I] = V;
+  if (2 * Nodes.size() > Slots.size())
+    growSlots();
+  return V;
+}
+
+void VersionTable::growSlots() {
+  std::vector<VsId> Grown(2 * Slots.size(), -1);
+  const size_t Mask = Grown.size() - 1;
+  for (size_t V = 2; V < Nodes.size(); ++V) {
+    size_t I = hashNode(Nodes[V]) & Mask;
+    while (Grown[I] >= 0)
+      I = (I + 1) & Mask;
+    Grown[I] = static_cast<VsId>(V);
+  }
+  Slots.swap(Grown);
 }
 
 VsId VersionTable::index(int I) {
-  auto It = IndexNodes.find(I);
-  if (It != IndexNodes.end())
-    return It->second;
-  VsId V = intern({VsKind::Index, I, nullptr, -1, -1, -1, {}});
-  IndexNodes.emplace(I, V);
-  return V;
+  return intern({VsKind::Index, I, nullptr, -1, -1, -1, {}});
 }
 
 VsId VersionTable::terminal(ExprPtr Leaf) {
   assert(Leaf && (Leaf->isPrimitive() || Leaf->isInvented()) &&
          "terminals are primitives or invented routines");
-  auto It = TerminalNodes.find(Leaf);
-  if (It != TerminalNodes.end())
-    return It->second;
-  VsId V = intern({VsKind::Terminal, 0, Leaf, -1, -1, -1, {}});
-  TerminalNodes.emplace(Leaf, V);
-  return V;
+  return intern({VsKind::Terminal, 0, Leaf, -1, -1, -1, {}});
 }
 
 VsId VersionTable::abstraction(VsId Body) {
   if (Body == VoidId)
     return VoidId;
-  auto It = AbstractionNodes.find(Body);
-  if (It != AbstractionNodes.end())
-    return It->second;
-  VsId V = intern({VsKind::Abstraction, 0, nullptr, Body, -1, -1, {}});
-  AbstractionNodes.emplace(Body, V);
-  return V;
+  return intern({VsKind::Abstraction, 0, nullptr, Body, -1, -1, {}});
 }
 
 VsId VersionTable::apply(VsId Fn, VsId Arg) {
   if (Fn == VoidId || Arg == VoidId)
     return VoidId;
-  auto Key = std::make_pair(Fn, Arg);
-  auto It = ApplicationNodes.find(Key);
-  if (It != ApplicationNodes.end())
-    return It->second;
-  VsId V = intern({VsKind::Application, 0, nullptr, -1, Fn, Arg, {}});
-  ApplicationNodes.emplace(Key, V);
-  return V;
+  return intern({VsKind::Application, 0, nullptr, -1, Fn, Arg, {}});
 }
 
 VsId VersionTable::unionOf(std::vector<VsId> Members) {
@@ -112,13 +217,7 @@ VsId VersionTable::unionOf(std::vector<VsId> Members) {
     return VoidId;
   if (Flat.size() == 1)
     return Flat.front();
-  auto It = UnionNodes.find(Flat);
-  if (It != UnionNodes.end())
-    return It->second;
-  VsNode N{VsKind::Union, 0, nullptr, -1, -1, -1, Flat};
-  VsId V = intern(std::move(N));
-  UnionNodes.emplace(std::move(Flat), V);
-  return V;
+  return intern({VsKind::Union, 0, nullptr, -1, -1, -1, std::move(Flat)});
 }
 
 VsId VersionTable::incorporate(ExprPtr E) {
@@ -326,22 +425,7 @@ std::vector<VsId> VersionTable::reachable(VsId V) const {
       continue;
     Seen[Cur] = true;
     Out.push_back(Cur);
-    const VsNode &N = Nodes[Cur];
-    switch (N.Kind) {
-    case VsKind::Abstraction:
-      Stack.push_back(N.Body);
-      break;
-    case VsKind::Application:
-      Stack.push_back(N.Fn);
-      Stack.push_back(N.Arg);
-      break;
-    case VsKind::Union:
-      for (VsId M : N.Members)
-        Stack.push_back(M);
-      break;
-    default:
-      break;
-    }
+    forEachChild(Nodes[Cur], [&](VsId C) { Stack.push_back(C); });
   }
   return Out;
 }
@@ -613,45 +697,10 @@ Extraction VersionTable::extractMinimal(
   auto It = Cache.find(V);
   if (It != Cache.end())
     return It->second;
-
   // Extraction never interns, so Nodes cannot reallocate underneath us.
-  const VsNode &N = Nodes[V];
-  Extraction Result{Infinity, nullptr};
-  switch (N.Kind) {
-  case VsKind::Void:
-  case VsKind::Universe:
-    break; // inextractable
-  case VsKind::Index:
-    Result = {1.0, Expr::index(N.Index)};
-    break;
-  case VsKind::Terminal:
-    Result = {1.0, N.Leaf};
-    break;
-  case VsKind::Abstraction: {
-    Extraction Body = extractMinimal(N.Body, Candidate, CandidateExpr, Cache);
-    if (Body.Program)
-      Result = {EpsilonCost + Body.Cost, Expr::abstraction(Body.Program)};
-    break;
-  }
-  case VsKind::Application: {
-    Extraction Fn = extractMinimal(N.Fn, Candidate, CandidateExpr, Cache);
-    if (!Fn.Program)
-      break;
-    Extraction Arg = extractMinimal(N.Arg, Candidate, CandidateExpr, Cache);
-    if (!Arg.Program)
-      break;
-    Result = {EpsilonCost + Fn.Cost + Arg.Cost,
-              Expr::application(Fn.Program, Arg.Program)};
-    break;
-  }
-  case VsKind::Union:
-    for (VsId M : N.Members) {
-      Extraction E = extractMinimal(M, Candidate, CandidateExpr, Cache);
-      if (extractionImproves(E, Result))
-        Result = E;
-    }
-    break;
-  }
+  Extraction Result = extractNode(Nodes[V], [&](VsId C) {
+    return extractMinimal(C, Candidate, CandidateExpr, Cache);
+  });
   Cache.emplace(V, Result);
   return Result;
 }
@@ -661,87 +710,68 @@ ExprPtr VersionTable::extractCheapest(VsId V) const {
   return extractMinimal(V, -1, nullptr, Cache).Program;
 }
 
-ExprPtr VersionTable::extractCheapest(
-    VsId V, std::unordered_map<VsId, Extraction> &Cache) const {
-  return extractMinimal(V, -1, nullptr, Cache).Program;
+std::vector<Extraction> VersionTable::extractAll() const {
+  // Children have smaller ids than their parents, so one ascending pass
+  // sees every child finished before its parent reads it.
+  std::vector<Extraction> Out(Nodes.size());
+  for (size_t V = 0; V < Nodes.size(); ++V)
+    Out[V] = extractNode(Nodes[V], [&](VsId C) {
+      assert(static_cast<size_t>(C) < V && "children precede parents");
+      return Out[C];
+    });
+  return Out;
 }
 
 Extraction VersionTable::extractLayered(
-    VsId V, const std::unordered_map<VsId, Extraction> &Shared,
+    VsId V, const std::vector<Extraction> &Shared,
     std::unordered_map<VsId, Extraction> &Overlay) const {
-  auto SIt = Shared.find(V);
-  if (SIt != Shared.end())
-    return SIt->second;
-  auto OIt = Overlay.find(V);
-  if (OIt != Overlay.end())
-    return OIt->second;
-
-  const VsNode &N = Nodes[V];
-  Extraction Result{Infinity, nullptr};
-  switch (N.Kind) {
-  case VsKind::Void:
-  case VsKind::Universe:
-    break; // inextractable
-  case VsKind::Index:
-    Result = {1.0, Expr::index(N.Index)};
-    break;
-  case VsKind::Terminal:
-    Result = {1.0, N.Leaf};
-    break;
-  case VsKind::Abstraction: {
-    Extraction Body = extractLayered(N.Body, Shared, Overlay);
-    if (Body.Program)
-      Result = {EpsilonCost + Body.Cost, Expr::abstraction(Body.Program)};
-    break;
-  }
-  case VsKind::Application: {
-    Extraction Fn = extractLayered(N.Fn, Shared, Overlay);
-    if (!Fn.Program)
-      break;
-    Extraction Arg = extractLayered(N.Arg, Shared, Overlay);
-    if (!Arg.Program)
-      break;
-    Result = {EpsilonCost + Fn.Cost + Arg.Cost,
-              Expr::application(Fn.Program, Arg.Program)};
-    break;
-  }
-  case VsKind::Union:
-    for (VsId M : N.Members) {
-      Extraction E = extractLayered(M, Shared, Overlay);
-      if (extractionImproves(E, Result))
-        Result = E;
-    }
-    break;
-  }
+  if (static_cast<size_t>(V) < Shared.size())
+    return Shared[V];
+  auto It = Overlay.find(V);
+  if (It != Overlay.end())
+    return It->second;
+  Extraction Result = extractNode(
+      Nodes[V], [&](VsId C) { return extractLayered(C, Shared, Overlay); });
   Overlay.emplace(V, Result);
   return Result;
 }
 
-std::vector<char> VersionTable::coneAbove(VsId Candidate) const {
-  // Node ids increase from children to parents, so one ascending pass
-  // suffices.
+VsParentIndex VersionTable::parentIndex() const {
+  // Count each node's parents, prefix-sum the counts into offsets, then
+  // fill every node's slice in ascending parent order.
+  VsParentIndex Index;
+  Index.Offsets.assign(Nodes.size() + 1, 0);
+  for (const VsNode &N : Nodes)
+    forEachChild(N, [&](VsId C) { ++Index.Offsets[C + 1]; });
+  for (size_t V = 0; V < Nodes.size(); ++V)
+    Index.Offsets[V + 1] += Index.Offsets[V];
+  Index.Parents.resize(Index.Offsets.back());
+  std::vector<uint32_t> Next(Index.Offsets.begin(), Index.Offsets.end() - 1);
+  for (size_t V = 0; V < Nodes.size(); ++V)
+    forEachChild(Nodes[V], [&](VsId C) {
+      Index.Parents[Next[C]++] = static_cast<VsId>(V);
+    });
+  return Index;
+}
+
+std::vector<char> VersionTable::coneAbove(VsId Candidate,
+                                          const VsParentIndex &Parents) const {
+  assert(Parents.Offsets.size() == Nodes.size() + 1 &&
+         "the parent index must cover the whole table");
   std::vector<char> Cone(Nodes.size(), 0);
   if (Candidate < 0 || Candidate >= static_cast<VsId>(Nodes.size()))
     return Cone;
   Cone[Candidate] = 1;
-  for (VsId V = Candidate + 1; V < static_cast<VsId>(Nodes.size()); ++V) {
-    const VsNode &N = Nodes[V];
-    switch (N.Kind) {
-    case VsKind::Abstraction:
-      Cone[V] = Cone[N.Body];
-      break;
-    case VsKind::Application:
-      Cone[V] = Cone[N.Fn] | Cone[N.Arg];
-      break;
-    case VsKind::Union:
-      for (VsId M : N.Members)
-        if (Cone[M]) {
-          Cone[V] = 1;
-          break;
-        }
-      break;
-    default:
-      break;
+  std::vector<VsId> Stack = {Candidate};
+  while (!Stack.empty()) {
+    VsId V = Stack.back();
+    Stack.pop_back();
+    for (uint32_t I = Parents.Offsets[V]; I < Parents.Offsets[V + 1]; ++I) {
+      VsId P = Parents.Parents[I];
+      if (!Cone[P]) {
+        Cone[P] = 1;
+        Stack.push_back(P);
+      }
     }
   }
   return Cone;
@@ -749,11 +779,10 @@ std::vector<char> VersionTable::coneAbove(VsId Candidate) const {
 
 Extraction VersionTable::extractWithCandidate(
     VsId V, VsId Candidate, ExprPtr CandidateExpr,
-    const std::vector<char> &Cone,
-    const std::unordered_map<VsId, Extraction> &SharedCache,
+    const std::vector<char> &Cone, const std::vector<Extraction> &Shared,
     std::unordered_map<VsId, Extraction> &OverlayCache) const {
   if (!Cone[V])
-    return extractLayered(V, SharedCache, OverlayCache);
+    return extractLayered(V, Shared, OverlayCache);
   if (V == Candidate) {
     // The candidate itself extracts as the invention, but some sibling
     // member may still be cheaper elsewhere — cost 1 is already minimal.
@@ -762,43 +791,10 @@ Extraction VersionTable::extractWithCandidate(
   auto It = OverlayCache.find(V);
   if (It != OverlayCache.end())
     return It->second;
-
-  const VsNode &N = Nodes[V];
-  Extraction Result{Infinity, nullptr};
-  switch (N.Kind) {
-  case VsKind::Void:
-  case VsKind::Universe:
-  case VsKind::Index:
-  case VsKind::Terminal:
-    // Leaves are never in a cone except the candidate itself.
-    Result = extractLayered(V, SharedCache, OverlayCache);
-    break;
-  case VsKind::Abstraction: {
-    Extraction Body = extractWithCandidate(N.Body, Candidate, CandidateExpr,
-                                           Cone, SharedCache, OverlayCache);
-    if (Body.Program)
-      Result = {EpsilonCost + Body.Cost, Expr::abstraction(Body.Program)};
-    break;
-  }
-  case VsKind::Application: {
-    Extraction Fn = extractWithCandidate(N.Fn, Candidate, CandidateExpr,
-                                         Cone, SharedCache, OverlayCache);
-    Extraction Arg = extractWithCandidate(N.Arg, Candidate, CandidateExpr,
-                                          Cone, SharedCache, OverlayCache);
-    if (Fn.Program && Arg.Program)
-      Result = {EpsilonCost + Fn.Cost + Arg.Cost,
-                Expr::application(Fn.Program, Arg.Program)};
-    break;
-  }
-  case VsKind::Union:
-    for (VsId M : N.Members) {
-      Extraction E = extractWithCandidate(M, Candidate, CandidateExpr, Cone,
-                                          SharedCache, OverlayCache);
-      if (extractionImproves(E, Result))
-        Result = E;
-    }
-    break;
-  }
+  Extraction Result = extractNode(Nodes[V], [&](VsId C) {
+    return extractWithCandidate(C, Candidate, CandidateExpr, Cone, Shared,
+                                OverlayCache);
+  });
   OverlayCache.emplace(V, Result);
   return Result;
 }

@@ -25,7 +25,9 @@
 
 #include "core/Program.h"
 
+#include <cstdint>
 #include <map>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +68,14 @@ constexpr double ExtractionEpsilonCost = 0.01;
 struct Extraction {
   double Cost = 0;
   ExprPtr Program = nullptr;
+};
+
+/// Reverse edges of a VersionTable in compressed-sparse-row form: the
+/// parents of node V are Parents[Offsets[V]] .. Parents[Offsets[V + 1] - 1]
+/// (a node using one child twice lists that parent twice).
+struct VsParentIndex {
+  std::vector<uint32_t> Offsets; ///< size() + 1 entries
+  std::vector<VsId> Parents;
 };
 
 /// Arena of hash-consed version spaces with memoized refactoring operators.
@@ -161,37 +171,48 @@ public:
   /// Convenience wrapper without a candidate.
   ExprPtr extractCheapest(VsId V) const;
 
-  /// Like extractCheapest but reusing an external memo across calls (the
-  /// candidate-proposal loop extracts thousands of spaces from one table).
-  ExprPtr extractCheapest(VsId V,
-                          std::unordered_map<VsId, Extraction> &Cache) const;
+  /// Candidate-free extraction of every node at once: entry V equals
+  /// extractMinimal(V) without a candidate (same program, same cost). One
+  /// ascending-id pass — children always precede their parents — so it
+  /// is the cheapest way to pre-warm extraction for a whole table.
+  std::vector<Extraction> extractAll() const;
 
-  /// Candidate-free extraction against a read-only shared memo: hits are
-  /// served from \p Shared, misses are computed and stored in \p Overlay
-  /// only. Safe to call concurrently from many threads as long as each has
-  /// its own \p Overlay and nobody mutates \p Shared or the table.
-  Extraction
-  extractLayered(VsId V, const std::unordered_map<VsId, Extraction> &Shared,
-                 std::unordered_map<VsId, Extraction> &Overlay) const;
+  /// Candidate-free extraction on top of a read-only dense table: ids
+  /// below \p Shared.size() are served from \p Shared (normally
+  /// extractAll() of this table, taken before later nodes were interned);
+  /// ids past its end are computed and stored in \p Overlay only. Safe to
+  /// call concurrently from many threads as long as each has its own
+  /// \p Overlay and nobody mutates \p Shared or the table.
+  Extraction extractLayered(VsId V, const std::vector<Extraction> &Shared,
+                            std::unordered_map<VsId, Extraction> &Overlay) const;
+
+  /// Reverse edges of the table as it is now, in CSR form (see
+  /// VsParentIndex). Build it after the last node is interned; coneAbove
+  /// walks it.
+  VsParentIndex parentIndex() const;
 
   /// Marks every node from whose structure \p Candidate is reachable —
   /// the "cone" of nodes whose minimal extraction can change when the
-  /// candidate becomes a unit-cost invention. Indexed by VsId.
-  std::vector<char> coneAbove(VsId Candidate) const;
+  /// candidate becomes a unit-cost invention. Indexed by VsId. Walks only
+  /// the candidate's ancestors through \p Parents, which must be
+  /// parentIndex() of the table at its current size.
+  std::vector<char> coneAbove(VsId Candidate,
+                              const VsParentIndex &Parents) const;
 
   /// Candidate-aware extraction that only recomputes inside the cone;
-  /// nodes outside it reuse \p SharedCache (candidate-independent,
-  /// read-only — misses land in \p OverlayCache instead, so many
-  /// candidates can be scored concurrently against one pre-warmed shared
-  /// cache). \p OverlayCache must be specific to (Candidate,
-  /// CandidateExpr).
+  /// nodes outside it are served by extractLayered on \p Shared
+  /// (candidate-independent and read-only — misses land in
+  /// \p OverlayCache instead, so many candidates can be scored
+  /// concurrently against one pre-warmed table). \p OverlayCache must be
+  /// specific to (Candidate, CandidateExpr).
   Extraction
   extractWithCandidate(VsId V, VsId Candidate, ExprPtr CandidateExpr,
                        const std::vector<char> &Cone,
-                       const std::unordered_map<VsId, Extraction> &SharedCache,
+                       const std::vector<Extraction> &Shared,
                        std::unordered_map<VsId, Extraction> &OverlayCache) const;
 
 private:
+  /// Id of the node structurally equal to \p N, appending \p N if new.
   VsId intern(VsNode N);
   bool memberContains(VsId V, ExprPtr E,
                       std::map<std::pair<VsId, ExprPtr>, bool> &Memo);
@@ -200,21 +221,50 @@ private:
   VsId VoidId = 0;
   VsId UniverseId = 1;
 
-  // Hash-consing keys.
-  std::map<int, VsId> IndexNodes;
-  std::map<ExprPtr, VsId> TerminalNodes;
-  std::map<VsId, VsId> AbstractionNodes;
-  std::map<std::pair<VsId, VsId>, VsId> ApplicationNodes;
-  std::map<std::vector<VsId>, VsId> UnionNodes;
+  /// Hash for the hash-consing slots and the operator-memo keys below.
+  /// Neither is ever iterated, so hash order cannot reach node ids.
+  struct KeyHash {
+    static size_t mix(uint64_t X) {
+      X ^= X >> 33;
+      X *= 0xff51afd7ed558ccdULL;
+      X ^= X >> 33;
+      X *= 0xc4ceb9fe1a85ec53ULL;
+      X ^= X >> 33;
+      return static_cast<size_t>(X);
+    }
+    size_t operator()(int K) const { return mix(static_cast<uint32_t>(K)); }
+    size_t operator()(ExprPtr E) const {
+      return mix(reinterpret_cast<uintptr_t>(E));
+    }
+    size_t operator()(const std::pair<int, int> &K) const {
+      return mix(static_cast<uint64_t>(static_cast<uint32_t>(K.first)) << 32 |
+                 static_cast<uint32_t>(K.second));
+    }
+    size_t operator()(const std::tuple<int, int, int> &K) const {
+      return mix((*this)(std::make_pair(std::get<0>(K), std::get<1>(K))) ^
+                 static_cast<uint32_t>(std::get<2>(K)));
+    }
+  };
+  template <typename K, typename V>
+  using HashMap = std::unordered_map<K, V, KeyHash>;
 
-  // Operator memos.
-  std::map<ExprPtr, VsId> IncorporateMemo;
-  std::map<std::tuple<VsId, int, int>, VsId> ShiftMemo;
-  std::map<std::pair<VsId, VsId>, VsId> IntersectionMemo;
-  std::map<std::pair<VsId, int>, std::map<VsId, VsId>> SubstitutionMemo;
-  std::map<VsId, VsId> InversionMemo;
-  std::map<std::pair<VsId, int>, VsId> InversionNMemo;
-  std::map<VsId, double> SizeMemo;
+  /// Hash-consing index over every node but ∅ and Λ: an open-addressing
+  /// table of node ids, probed by node content (linear probing,
+  /// power-of-two size, at most half full, -1 = empty slot). A lookup
+  /// touches the slot array and the nodes it compares, nothing else.
+  std::vector<VsId> Slots;
+  static size_t hashNode(const VsNode &N);
+  void growSlots();
+
+  // Operator memos. SubstitutionMemo's values are iterated in key order
+  // by inversion(), so they stay ordered maps.
+  HashMap<ExprPtr, VsId> IncorporateMemo;
+  HashMap<std::tuple<VsId, int, int>, VsId> ShiftMemo;
+  HashMap<std::pair<VsId, VsId>, VsId> IntersectionMemo;
+  HashMap<std::pair<VsId, int>, std::map<VsId, VsId>> SubstitutionMemo;
+  HashMap<VsId, VsId> InversionMemo;
+  HashMap<std::pair<VsId, int>, VsId> InversionNMemo;
+  HashMap<VsId, double> SizeMemo;
 };
 
 } // namespace dc

@@ -63,6 +63,19 @@ TEST_F(ProgramTest, ParseErrors) {
   EXPECT_EQ(parseProgram("(lambda $0) extra", &Err), nullptr);
 }
 
+TEST_F(ProgramTest, ParseRejectsOutOfRangeNumbers) {
+  // Too large for an int index or a long literal: a structured error,
+  // never an exception out of the parser.
+  std::string Err;
+  EXPECT_EQ(parseProgram("$99999999999", &Err), nullptr);
+  EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+  EXPECT_EQ(parseProgram("(lambda (+ $0 99999999999999999999))", &Err),
+            nullptr);
+  EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+  EXPECT_EQ(parseProgram("$2147483647", &Err), Expr::index(2147483647));
+  EXPECT_TRUE(Err.empty()) << Err;
+}
+
 TEST_F(ProgramTest, SizeAndDepth) {
   ExprPtr P = parseProgram("(lambda (+ $0 1))");
   ASSERT_NE(P, nullptr);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 using namespace dc;
@@ -180,6 +181,41 @@ TEST_F(SerializationTest, FrontierEntriesWithUnknownPrimitivesAreSkipped) {
   EXPECT_EQ(N, 1) << Err;
   ASSERT_EQ(Fs[0].entries().size(), 1u);
   EXPECT_EQ(Fs[0].best()->Program, parseProgram("(lambda (+ $0 1))"));
+}
+
+TEST_F(SerializationTest, CheckpointWithOutOfRangeIndexIsAnError) {
+  // A corrupt checkpoint must fail to load with a message, not abort the
+  // process: dc_run --resume and dc_serve's reload both go through here.
+  std::string Path = testing::TempDir() + "/dc_checkpoint_bad_index.txt";
+  {
+    std::ofstream Out(Path);
+    Out << "grammar v1\n"
+           "logVariable 0\n"
+           "production 0 (lambda $99999999999)\n"
+           "end\n"
+           "frontiers v1\n"
+           "end\n";
+  }
+  Grammar G2;
+  std::vector<Frontier> Fs;
+  std::string Err;
+  EXPECT_FALSE(loadCheckpoint(Path, G2, Fs, &Err));
+  EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+  std::remove(Path.c_str());
+
+  // The same index in a frontier entry drops only that entry.
+  const char *Text = "frontiers v1\n"
+                     "frontier corrupt\n"
+                     "entry -1 0 (lambda $99999999999)\n"
+                     "entry -2 0 (lambda (+ $0 1))\n"
+                     "end\n";
+  TypePtr Req = Type::arrow(tInt(), tInt());
+  auto T = std::make_shared<Task>("corrupt", Req, std::vector<Example>{});
+  std::vector<Frontier> Fs2 = {Frontier(T)};
+  std::stringstream SS(Text);
+  EXPECT_EQ(deserializeFrontiers(Fs2, SS, &Err), 1);
+  ASSERT_EQ(Fs2[0].entries().size(), 1u);
+  EXPECT_EQ(Fs2[0].best()->Program, parseProgram("(lambda (+ $0 1))"));
 }
 
 TEST_F(SerializationTest, FileCheckpointRoundTrip) {

@@ -205,8 +205,9 @@ TEST_F(VersionSpaceTest, ExtractMinimalPrefersCandidate) {
 
   ExprPtr Invention = Expr::invented(parseProgram("(lambda (+ $0 $0))"));
   ExprPtr Rewrite = Expr::application(Invention, Expr::index(0));
-  std::vector<char> Cone = VT.coneAbove(Anchor);
-  std::unordered_map<VsId, Extraction> Shared, Overlay;
+  std::vector<char> Cone = VT.coneAbove(Anchor, VT.parentIndex());
+  std::vector<Extraction> Shared = VT.extractAll();
+  std::unordered_map<VsId, Extraction> Overlay;
   Extraction E =
       VT.extractWithCandidate(Closure, Anchor, Rewrite, Cone, Shared,
                               Overlay);
@@ -214,6 +215,67 @@ TEST_F(VersionSpaceTest, ExtractMinimalPrefersCandidate) {
   ExprPtr Normal = E.Program->betaNormalForm(128);
   EXPECT_EQ(Normal->show(),
             "(* (#(lambda (+ $0 $0)) 5) (#(lambda (+ $0 $0)) 7))");
+}
+
+namespace {
+
+/// β-closures of a few list programs merged into one table, the way
+/// abstraction sleep builds its master table.
+void buildListClosures(VersionTable &VT) {
+  const char *Sources[] = {
+      "(lambda (map (lambda (+ $0 $0)) (cdr $0)))",
+      "(lambda (cons (+ (car $0) (car $0)) nil))",
+      "(lambda (fold (lambda (lambda (+ $1 $0))) 0 $0))",
+  };
+  for (const char *Src : Sources) {
+    ExprPtr P = parseProgram(Src);
+    ASSERT_NE(P, nullptr) << Src;
+    VT.betaClosure(P, 2);
+  }
+}
+
+} // namespace
+
+TEST_F(VersionSpaceTest, ConeWalkMatchesReachability) {
+  buildListClosures(VT);
+  // Brute force: U is above C exactly when C is reachable from U.
+  const size_t N = VT.size();
+  std::vector<std::vector<VsId>> Above(N);
+  for (size_t U = 0; U < N; ++U)
+    for (VsId C : VT.reachable(static_cast<VsId>(U)))
+      Above[C].push_back(static_cast<VsId>(U));
+  VsParentIndex Parents = VT.parentIndex();
+  for (size_t C = 0; C < N; ++C) {
+    std::vector<char> Expected(N, 0);
+    for (VsId U : Above[C])
+      Expected[U] = 1;
+    ASSERT_EQ(VT.coneAbove(static_cast<VsId>(C), Parents), Expected)
+        << "cone of node " << C << " in a table of " << N;
+  }
+}
+
+TEST_F(VersionSpaceTest, ExtractAllMatchesExtractMinimal) {
+  buildListClosures(VT);
+  // A union whose members tie on cost: exprCompare, not member position,
+  // must pick (+ 1 5), the member with the larger node id.
+  VsId First = VT.incorporate(parseProgram("(+ 5 1)"));
+  VsId Second = VT.incorporate(parseProgram("(+ 1 5)"));
+  ASSERT_LT(First, Second);
+  VsId Tie = VT.unionOf({First, Second});
+  ASSERT_EQ(VT.node(Tie).Kind, VsKind::Union);
+
+  std::vector<Extraction> All = VT.extractAll();
+  ASSERT_EQ(All.size(), VT.size());
+  std::unordered_map<VsId, Extraction> Cache;
+  for (size_t V = 0; V < VT.size(); ++V) {
+    Extraction Ref =
+        VT.extractMinimal(static_cast<VsId>(V), -1, nullptr, Cache);
+    EXPECT_EQ(All[V].Program, Ref.Program) << "node " << V;
+    EXPECT_EQ(All[V].Cost, Ref.Cost) << "node " << V;
+    EXPECT_EQ(All[V].Program, VT.extractCheapest(static_cast<VsId>(V)));
+  }
+  EXPECT_EQ(All[Tie].Program, parseProgram("(+ 1 5)"));
+  EXPECT_EQ(All[First].Cost, All[Second].Cost);
 }
 
 TEST_F(VersionSpaceTest, ReachableIncludesSelfAndChildren) {

@@ -25,7 +25,9 @@
 #include "domains/RegressionDomain.h"
 #include "domains/TextDomain.h"
 #include "domains/TowerDomain.h"
+#include "NumberFlags.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,6 +68,9 @@ void usage(const char *Argv0) {
       "               run (enables telemetry; results are unchanged)\n"
       "--trace-out:   write chrome://tracing trace-event JSON (load via\n"
       "               about:tracing or https://ui.perfetto.dev)\n"
+      "numbers:  --wake-timeout takes seconds >= 0, every other numeric\n"
+      "          flag a whole decimal integer in range; anything else\n"
+      "          prints this message and exits 2\n"
       "domains:  list text logo tower regex regression physics origami\n"
       "variants: full no-rec no-abs memorize memorize-rec ec ec2 "
       "enumerate\n",
@@ -134,22 +139,29 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto Number = [&](long long Min, long long Max) {
+      const char *Flag = Argv[I];
+      return parseNumber(Argv[0], usage, Flag, Next(), Min, Max);
+    };
     if (!std::strcmp(Argv[I], "--domain"))
       DomainName = Next();
     else if (!std::strcmp(Argv[I], "--variant"))
       VariantName = Next();
     else if (!std::strcmp(Argv[I], "--iterations"))
-      Config.Iterations = std::atoi(Next());
+      Config.Iterations = static_cast<int>(Number(0, INT_MAX));
     else if (!std::strcmp(Argv[I], "--minibatch"))
-      Config.MinibatchSize = std::atoi(Next());
+      Config.MinibatchSize = static_cast<int>(Number(0, INT_MAX));
     else if (!std::strcmp(Argv[I], "--seed"))
-      Seed = static_cast<unsigned>(std::atoi(Next()));
+      Seed = static_cast<unsigned>(Number(0, UINT_MAX));
     else if (!std::strcmp(Argv[I], "--node-budget"))
-      NodeBudget = std::atol(Next());
+      NodeBudget = static_cast<long>(Number(0, LONG_MAX));
     else if (!std::strcmp(Argv[I], "--threads"))
-      Config.NumThreads = std::atoi(Next());
-    else if (!std::strcmp(Argv[I], "--wake-timeout"))
-      Config.WakeTimeoutSeconds = std::atof(Next());
+      Config.NumThreads = static_cast<int>(Number(0, 1024));
+    else if (!std::strcmp(Argv[I], "--wake-timeout")) {
+      const char *Flag = Argv[I];
+      Config.WakeTimeoutSeconds =
+          parseReal(Argv[0], usage, Flag, Next(), 0, 1e9);
+    }
     else if (!std::strcmp(Argv[I], "--checkpoint"))
       CheckpointPath = Next();
     else if (!std::strcmp(Argv[I], "--resume"))

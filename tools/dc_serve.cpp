@@ -25,6 +25,7 @@
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "serve/Server.h"
+#include "NumberFlags.h"
 
 #include <cerrno>
 #include <climits>
@@ -89,25 +90,6 @@ void usage(const char *Argv0) {
 /// work — reload on 'H', shutdown on 'T' — in normal thread context.
 int SignalPipe[2] = {-1, -1};
 
-/// A numeric flag's value: a whole decimal integer in [Min, Max].
-/// Anything else (empty, non-numeric, trailing characters, out of range)
-/// prints the usage message and exits 2.
-long long parseNumber(const char *Argv0, const char *Flag, const char *Text,
-                      long long Min, long long Max) {
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(Text, &End, 10);
-  if (End == Text || *End != '\0' || errno == ERANGE || V < Min ||
-      V > Max) {
-    std::fprintf(stderr,
-                 "error: %s takes an integer in [%lld, %lld], got '%s'\n",
-                 Flag, Min, Max, Text);
-    usage(Argv0);
-    std::exit(2);
-  }
-  return V;
-}
-
 void onSignal(int Sig) {
   char Byte = Sig == SIGHUP ? 'H' : 'T';
   [[maybe_unused]] ssize_t N = ::write(SignalPipe[1], &Byte, 1);
@@ -154,7 +136,7 @@ int main(int Argc, char **Argv) {
     };
     auto Number = [&](long long Min, long long Max) {
       const char *Flag = Argv[I];
-      return parseNumber(Argv[0], Flag, Next(), Min, Max);
+      return parseNumber(Argv[0], usage, Flag, Next(), Min, Max);
     };
     if (!std::strcmp(Argv[I], "--domain")) {
       Domains.emplace_back();
