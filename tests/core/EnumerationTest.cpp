@@ -1,15 +1,19 @@
 //===- tests/core/EnumerationTest.cpp - Enumerative search unit tests -----===//
 
+#include "core/ContextualGrammar.h"
 #include "core/Enumeration.h"
 #include "core/Primitives.h"
-#include "core/ThreadPool.h"
 #include "core/ProgramParser.h"
+#include "core/ThreadPool.h"
+#include "domains/ListDomain.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <set>
 
 using namespace dc;
@@ -499,4 +503,193 @@ TEST_F(EnumerationTest, SharedGrammarSolverHonorsDeadline) {
   EXPECT_TRUE(Frontiers[0].empty());
   EXPECT_TRUE(Stats.Interrupted);
   EXPECT_LT(Elapsed, 10.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden determinism constants
+//===----------------------------------------------------------------------===//
+//
+// FNV-1a digests of ordered search, sampling and scoring streams, pinned so
+// that a change to the typing layer or the enumerator cannot silently
+// reorder candidates, perturb a prior's bits, or change node accounting.
+// A digest that moves is a determinism break, not a constant to refresh.
+
+namespace {
+
+struct Fnv1a {
+  std::uint64_t H = 0xcbf29ce484222325ULL;
+  void bytes(const void *Data, size_t N) {
+    const auto *P = static_cast<const unsigned char *>(Data);
+    for (size_t I = 0; I < N; ++I) {
+      H ^= P[I];
+      H *= 0x100000001b3ULL;
+    }
+  }
+  void text(const std::string &S) {
+    bytes(S.data(), S.size());
+    bytes("", 1); // terminator keeps adjacent strings apart
+  }
+  void real(double D) {
+    std::uint64_t Bits;
+    std::memcpy(&Bits, &D, sizeof Bits);
+    bytes(&Bits, sizeof Bits);
+  }
+  void integer(long V) { bytes(&V, sizeof V); }
+  std::string hex() const {
+    char Buf[17];
+    std::snprintf(Buf, sizeof Buf, "%016llx",
+                  static_cast<unsigned long long>(H));
+    return Buf;
+  }
+};
+
+Grammar listBaseGrammar() {
+  return Grammar::uniform(makeListDomain().BasePrimitives);
+}
+
+/// The list base grammar plus monomorphic and polymorphic inventions, with
+/// non-uniform weights so normalizers are not all equal.
+Grammar inventionGrammar() {
+  Grammar G = listBaseGrammar();
+  for (const char *Body :
+       {"(lambda (map (lambda (+ $0 $0)) $0))",
+        "(lambda (lambda (cons $1 (cons $0 nil))))",
+        "(lambda (car (cdr $0)))",
+        "(lambda (lambda (fold (lambda (lambda (cons $1 $0))) $0 $1)))"}) {
+    ExprPtr Inv = Expr::invented(parseProgram(Body));
+    EXPECT_NE(Inv, nullptr) << Body;
+    G.addProduction(Inv);
+  }
+  for (size_t I = 0; I < G.productions().size(); ++I)
+    G.productions()[I].LogWeight =
+        0.25 * static_cast<double>(static_cast<long>((I * 37) % 11) - 5);
+  G.setLogVariable(-0.5);
+  return G;
+}
+
+/// A bigram grammar over the list base whose every slot has its own
+/// deterministic weights.
+ContextualGrammar contextualGrammar() {
+  Grammar Base = listBaseGrammar();
+  ContextualGrammar CG(Base);
+  const int N = static_cast<int>(Base.productions().size());
+  for (int Parent = -2; Parent < N; ++Parent)
+    for (int Arg = 0; Arg < CG.maxArity(); ++Arg) {
+      Grammar &S = CG.slot(Parent, Arg);
+      for (int I = 0; I < N; ++I)
+        S.productions()[I].LogWeight =
+            0.3 * static_cast<double>((I * 7 + (Parent + 2) * 3 + Arg * 5) %
+                                      9) -
+            1.2;
+      S.setLogVariable(-0.2 * static_cast<double>((Parent + Arg + 4) % 5));
+    }
+  return CG;
+}
+
+std::vector<TypePtr> goldenRequests() {
+  return {
+      Type::arrow(tList(tInt()), tList(tInt())),
+      Type::arrow(tList(tInt()), tInt()),
+      Type::arrows({tInt(), tInt()}, tBool()),
+      Type::arrows({Type::arrow(tInt(), tInt()), tList(tInt())},
+                   tList(tInt())),
+      Type::arrow(t0(), tList(t0())),
+  };
+}
+
+/// Digest of the ordered (program text, prior bits) stream of successive
+/// windows at every golden request, plus the nodes each search spent.
+std::string enumerationDigest(const EnumerationSource &Src) {
+  Fnv1a H;
+  for (const TypePtr &Req : goldenRequests()) {
+    long Nodes = 20000;
+    for (double Lower = 0, Upper = 7.5; Upper <= 12.0 && Nodes > 0;
+         Lower = Upper, Upper += 1.5)
+      enumerateWindow(Src, Req, Lower, Upper, Nodes,
+                      [&](ExprPtr P, double LogPrior) {
+                        H.text(P->show());
+                        H.real(LogPrior);
+                        return true;
+                      });
+    H.integer(Nodes);
+  }
+  return H.hex();
+}
+
+const char *const GoldenPrograms[] = {
+    "(lambda (map (lambda (+ $0 $0)) $0))",
+    "(lambda (fold (lambda (lambda (+ $1 $0))) 0 $0))",
+    "(lambda (cdr (cons (car $0) $0)))",
+    "(lambda (if (is-nil $0) nil (cons (length $0) nil)))",
+    "(lambda (map car (cons $0 nil)))",
+    "(lambda (lambda (map $1 $0)))",
+    "(lambda (index 1 $0))",
+    "(lambda (car $0))",
+};
+
+} // namespace
+
+TEST(EnumerationGolden, BaseGrammarWindowStream) {
+  EXPECT_EQ(enumerationDigest(listBaseGrammar()), "3a877c3047f98830");
+}
+
+TEST(EnumerationGolden, InventionGrammarWindowStream) {
+  EXPECT_EQ(enumerationDigest(inventionGrammar()), "83d375a3207e0175");
+}
+
+TEST(EnumerationGolden, ContextualGrammarWindowStream) {
+  EXPECT_EQ(enumerationDigest(contextualGrammar()), "8a2b35a2c88c472a");
+}
+
+TEST(EnumerationGolden, SampleStream) {
+  Grammar G = inventionGrammar();
+  ContextualGrammar CG = contextualGrammar();
+  std::mt19937 Rng(11);
+  Fnv1a H;
+  for (int I = 0; I < 60; ++I)
+    for (const TypePtr &Req : goldenRequests()) {
+      ExprPtr P = sampleFromSource(G, Req, Rng);
+      H.text(P ? P->show() : "<none>");
+      ExprPtr Q = sampleFromSource(CG, Req, Rng);
+      H.text(Q ? Q->show() : "<none>");
+    }
+  EXPECT_EQ(H.hex(), "463234fc12702a83");
+}
+
+TEST(EnumerationGolden, LogLikelihoodBits) {
+  Grammar Base = listBaseGrammar();
+  Grammar Inv = inventionGrammar();
+  ContextualGrammar CG = contextualGrammar();
+  const TypePtr Requests[] = {
+      Type::arrow(tList(tInt()), tList(tInt())),
+      Type::arrow(tList(tInt()), tInt()),
+      Type::arrow(tList(tList(tInt())), tList(tInt())),
+      Type::arrows({Type::arrow(tInt(), tInt()), tList(tInt())},
+                   tList(tInt())),
+  };
+  Fnv1a H;
+  for (const char *Src : GoldenPrograms) {
+    ExprPtr P = parseProgram(Src);
+    ASSERT_NE(P, nullptr) << Src;
+    for (const TypePtr &Req : Requests) {
+      H.real(Base.logLikelihood(Req, P));
+      H.real(Inv.logLikelihood(Req, P));
+      // The bigram walk reports every decision with its competitors; the
+      // competitor list pins candidate order and normalizers too.
+      bool Ok = walkProgramDecisions(
+          CG, Req, P,
+          [&](int Parent, int Arg, const GrammarCandidate &Chosen,
+              const std::vector<GrammarCandidate> &All) {
+            H.integer(Parent);
+            H.integer(Arg);
+            H.real(Chosen.LogProb);
+            for (const GrammarCandidate &C : All) {
+              H.integer(C.ProductionIdx);
+              H.real(C.LogProb);
+            }
+          });
+      H.integer(Ok);
+    }
+  }
+  EXPECT_EQ(H.hex(), "9d05fee20a8f0c22");
 }
