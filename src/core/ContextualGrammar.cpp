@@ -39,11 +39,9 @@ const Grammar &ContextualGrammar::slot(int ParentIdx, int ArgIdx) const {
   return const_cast<ContextualGrammar *>(this)->slot(ParentIdx, ArgIdx);
 }
 
-std::vector<GrammarCandidate>
-ContextualGrammar::candidates(int ParentIdx, int ArgIdx,
-                              const TypePtr &Request,
-                              const std::vector<TypePtr> &Environment,
-                              const TypeContext &Ctx) const {
-  return slot(ParentIdx, ArgIdx).candidates(ParentIdx, ArgIdx, Request,
-                                            Environment, Ctx);
+void ContextualGrammar::candidates(int ParentIdx, int ArgIdx, TypeRef Request,
+                                   const TypeEnv *Env, TypeContext &Ctx,
+                                   std::vector<GrammarCandidate> &Out) const {
+  slot(ParentIdx, ArgIdx).candidates(ParentIdx, ArgIdx, Request, Env, Ctx,
+                                     Out);
 }

@@ -23,7 +23,8 @@
 namespace dc {
 
 /// A family of unigram grammars indexed by syntactic slot. All slots share
-/// the same production list (the library); only weights differ.
+/// the same production list (the library) and one signature table; only
+/// weights differ.
 class ContextualGrammar : public EnumerationSource {
 public:
   ContextualGrammar() = default;
@@ -51,10 +52,13 @@ public:
   Grammar &slot(int ParentIdx, int ArgIdx);
   const Grammar &slot(int ParentIdx, int ArgIdx) const;
 
-  std::vector<GrammarCandidate>
-  candidates(int ParentIdx, int ArgIdx, const TypePtr &Request,
-             const std::vector<TypePtr> &Environment,
-             const TypeContext &Ctx) const override;
+  const std::vector<ProductionSignature> &signatures() const override {
+    return Start.signatures();
+  }
+
+  void candidates(int ParentIdx, int ArgIdx, TypeRef Request,
+                  const TypeEnv *Env, TypeContext &Ctx,
+                  std::vector<GrammarCandidate> &Out) const override;
 
 private:
   Grammar Start;                      ///< root slot

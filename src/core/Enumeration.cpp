@@ -10,6 +10,8 @@
 #include <chrono>
 #include <limits>
 #include <map>
+#include <type_traits>
+#include <utility>
 
 using namespace dc;
 
@@ -28,102 +30,128 @@ constexpr size_t TestBatchSize = 2048;
 /// millisecond of search.
 constexpr long StopCheckInterval = 256;
 
-/// Persistent typing environment: a stack-allocated linked list so that
-/// continuations capture the environment as of their creation point. A
-/// mutable vector would leak the binders of an already-completed sibling
-/// subtree into later arguments (shifting their de Bruijn indices).
-struct TypeEnv {
-  TypePtr Ty;
-  const TypeEnv *Outer;
+/// A non-owning reference to a callable: two pointers, no allocation. The
+/// referenced callable must outlive the reference (every use below passes
+/// a lambda living in the caller's frame).
+template <typename Fn> class FunctionRef;
+template <typename R, typename... Args> class FunctionRef<R(Args...)> {
+public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cv_t<F>, FunctionRef>)
+  FunctionRef(F &Callable)
+      : Obj(&Callable), Call([](void *O, Args... A) -> R {
+          return (*static_cast<F *>(O))(std::forward<Args>(A)...);
+        }) {}
+  R operator()(Args... A) const { return Call(Obj, std::forward<Args>(A)...); }
+
+private:
+  void *Obj;
+  R (*Call)(void *, Args...);
 };
 
-std::vector<TypePtr> envToVector(const TypeEnv *Env) {
-  std::vector<TypePtr> Out;
-  for (const TypeEnv *Cur = Env; Cur; Cur = Cur->Outer)
-    Out.push_back(Cur->Ty);
-  std::reverse(Out.begin(), Out.end()); // outermost-first, as candidates()
-  return Out;
-}
-
-/// Recursive enumerator core. Emits (program, cost, context) triples for
-/// every program of \p Request with cost < \p Budget. Returns false when
-/// the emit callback aborted the search.
+/// Recursive enumerator core in continuation-passing style. Emits
+/// (program, cost) pairs for every program of the request with cost below
+/// the budget; returns false when the sink aborted the search.
+///
+/// One TypeContext serves the whole search. A candidate's bindings are
+/// made on entry to its subtree and rolled back when the subtree's
+/// enumeration returns; continuations run inside that window, so a later
+/// argument sees the bindings of the earlier arguments that precede it in
+/// the current program, exactly as a context copied down the path would.
 class Enumerator {
 public:
   Enumerator(const EnumerationSource &Src, long &Nodes,
              const std::function<bool()> &ShouldStop)
       : Src(Src), Nodes(Nodes), ShouldStop(ShouldStop) {}
 
-  using Sink = std::function<bool(ExprPtr, double, TypeContext &)>;
+  using Sink = FunctionRef<bool(ExprPtr, double)>;
 
   /// Enumerates at \p Request with remaining budget \p Budget (nats).
-  bool enumerate(int ParentIdx, int ArgIdx, TypeContext &Ctx,
-                 const TypeEnv *Env, const TypePtr &Request, double Budget,
-                 const Sink &Emit) {
+  bool enumerate(int ParentIdx, int ArgIdx, const TypeEnv *Env,
+                 TypeRef Request, double Budget, Sink Emit) {
     if (Budget <= 0)
       return true;
-    TypePtr Req = Ctx.resolve(Request);
+    TypeRef Req = Ctx.resolve(Request);
 
-    if (Req->isArrow()) {
-      TypeEnv Frame{Req->arrowArgument(), Env};
-      return enumerate(ParentIdx, ArgIdx, Ctx, &Frame, Req->arrowResult(),
-                       Budget,
-                       [&](ExprPtr Body, double Cost, TypeContext &BodyCtx) {
-                         return Emit(Expr::abstraction(Body), Cost, BodyCtx);
-                       });
+    if (Req.T->isArrow()) {
+      TypeEnv Frame{Req.arrowArgument(), Env};
+      auto Wrap = [&](ExprPtr Body, double Cost) {
+        return Emit(Expr::abstraction(Body), Cost);
+      };
+      return enumerate(ParentIdx, ArgIdx, &Frame, Req.arrowResult(), Budget,
+                       Sink(Wrap));
     }
 
-    std::vector<GrammarCandidate> Cands =
-        Src.candidates(ParentIdx, ArgIdx, Req, envToVector(Env), Ctx);
-    for (GrammarCandidate &C : Cands) {
+    // This hole's candidates occupy [Begin, End) of the shared stack;
+    // nested holes push theirs above and pop them before returning.
+    const size_t Begin = Cands.size();
+    Src.candidates(ParentIdx, ArgIdx, Req, Env, Ctx, Cands);
+    const size_t End = Cands.size();
+    bool Ok = true;
+    for (size_t I = Begin; Ok && I < End; ++I) {
+      const GrammarCandidate C = Cands[I];
       double Cost = -C.LogProb;
       if (Cost >= Budget)
         continue;
-      if (--Nodes <= 0)
-        return false;
+      if (--Nodes <= 0) {
+        Ok = false;
+        break;
+      }
       // Deadline/cancellation poll at candidate-batch granularity. The
       // branch on the empty default keeps the deterministic path free of
       // clock reads entirely.
       if (ShouldStop && ++SinceStopCheck >= StopCheckInterval) {
         SinceStopCheck = 0;
-        if (ShouldStop())
-          return false;
+        if (ShouldStop()) {
+          Ok = false;
+          break;
+        }
       }
+      const TypeContext::Mark M = Ctx.mark();
+      const size_t ArgBegin = ArgTypes.size();
+      bindCandidate(Src, C, Req, Env, Ctx, ArgTypes);
+      const size_t Arity = ArgTypes.size() - ArgBegin;
       int ChildParent =
           C.ProductionIdx >= 0 ? C.ProductionIdx : ParentVariable;
-      std::vector<TypePtr> ArgTypes = functionArguments(C.Ty);
-      if (!enumerateApplication(ChildParent, C.Ctx, Env, C.Leaf, Cost,
-                                ArgTypes, 0, Budget, Emit))
-        return false;
+      Ok = enumerateApplication(ChildParent, Env, C.Leaf, Cost, ArgBegin,
+                                Arity, 0, Budget, Emit);
+      ArgTypes.resize(ArgBegin);
+      Ctx.rollback(M);
     }
-    return true;
+    Cands.resize(Begin);
+    return Ok;
   }
 
+  TypeContext Ctx;
+
 private:
-  /// Fills argument holes of \p Fn left to right. \p Env is the environment
-  /// at the spine's decision point — inner binders of earlier arguments are
-  /// not in scope here.
-  bool enumerateApplication(int ChildParent, TypeContext &Ctx,
-                            const TypeEnv *Env, ExprPtr Fn, double CostSoFar,
-                            const std::vector<TypePtr> &ArgTypes, size_t Idx,
-                            double Budget, const Sink &Emit) {
-    if (Idx == ArgTypes.size())
-      return Emit(Fn, CostSoFar, Ctx);
-    return enumerate(
-        ChildParent, static_cast<int>(Idx), Ctx, Env, ArgTypes[Idx],
-        Budget - CostSoFar,
-        [&](ExprPtr Arg, double ArgCost, TypeContext &ArgCtx) {
-          return enumerateApplication(ChildParent, ArgCtx, Env,
-                                      Expr::application(Fn, Arg),
-                                      CostSoFar + ArgCost, ArgTypes, Idx + 1,
-                                      Budget, Emit);
-        });
+  /// Fills argument holes of \p Fn left to right; their types are
+  /// ArgTypes[ArgBegin, ArgBegin + Arity). \p Env is the environment at the
+  /// spine's decision point — inner binders of earlier arguments are not
+  /// in scope here.
+  bool enumerateApplication(int ChildParent, const TypeEnv *Env, ExprPtr Fn,
+                            double CostSoFar, size_t ArgBegin, size_t Arity,
+                            size_t Idx, double Budget, Sink Emit) {
+    if (Idx == Arity)
+      return Emit(Fn, CostSoFar);
+    auto Next = [&](ExprPtr Arg, double ArgCost) {
+      return enumerateApplication(ChildParent, Env,
+                                  Expr::application(Fn, Arg),
+                                  CostSoFar + ArgCost, ArgBegin, Arity,
+                                  Idx + 1, Budget, Emit);
+    };
+    return enumerate(ChildParent, static_cast<int>(Idx), Env,
+                     ArgTypes[ArgBegin + Idx], Budget - CostSoFar,
+                     Sink(Next));
   }
 
   const EnumerationSource &Src;
   long &Nodes;
   const std::function<bool()> &ShouldStop;
   long SinceStopCheck = 0;
+  /// Candidate and argument-type stacks shared by every depth.
+  std::vector<GrammarCandidate> Cands;
+  std::vector<TypeRef> ArgTypes;
 };
 
 /// Builds the ShouldStop predicate for one search: cancellation first (one
@@ -182,15 +210,14 @@ void dc::enumerateWindow(const EnumerationSource &Src, const TypePtr &Request,
                          double Lower, double Upper, long &Nodes,
                          const std::function<bool(ExprPtr, double)> &Emit,
                          const std::function<bool()> &ShouldStop) {
-  TypeContext Ctx;
-  TypePtr Req = Ctx.instantiate(Request);
   Enumerator E(Src, Nodes, ShouldStop);
-  E.enumerate(ParentStart, 0, Ctx, nullptr, Req, Upper,
-              [&](ExprPtr P, double Cost, TypeContext &) {
-                if (Cost < Lower)
-                  return true; // reported by an earlier window
-                return Emit(P, -Cost);
-              });
+  TypeRef Req = E.Ctx.instantiateRef(canonicalize(Request));
+  auto Top = [&](ExprPtr P, double Cost) {
+    if (Cost < Lower)
+      return true; // reported by an earlier window
+    return Emit(P, -Cost);
+  };
+  E.enumerate(ParentStart, 0, nullptr, Req, Upper, Enumerator::Sink(Top));
 }
 
 void EnumerationStats::merge(const EnumerationStats &Other) {

@@ -3,6 +3,7 @@
 #include "core/Program.h"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -114,8 +115,20 @@ ExprPtr ExprArenaImpl::intern(ExprKey Key, const TypePtr &DeclType) {
 
 ExprPtr Expr::index(int I) {
   assert(I >= 0 && "negative de Bruijn index");
-  ExprKey K{ExprKind::Index, I, "", nullptr, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K), nullptr);
+  // Candidate generation asks for the in-scope variables at every hole;
+  // the small indices are interned once and then read without a lock.
+  constexpr int NumCached = 64;
+  auto Intern = [](int J) {
+    return ExprArenaImpl::get().intern(
+        ExprKey{ExprKind::Index, J, "", nullptr, nullptr}, nullptr);
+  };
+  static const std::array<ExprPtr, NumCached> Cached = [&] {
+    std::array<ExprPtr, NumCached> Out;
+    for (int J = 0; J < NumCached; ++J)
+      Out[J] = Intern(J);
+    return Out;
+  }();
+  return I < NumCached ? Cached[I] : Intern(I);
 }
 
 ExprPtr Expr::primitive(const std::string &Name, const TypePtr &Ty) {

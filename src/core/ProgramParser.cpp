@@ -3,6 +3,7 @@
 #include "core/ProgramParser.h"
 #include "core/Primitives.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 
@@ -10,7 +11,10 @@ using namespace dc;
 
 namespace {
 
-/// Recursive-descent parser over a flat character buffer.
+/// Recursive-descent parser over a flat character buffer. Both the
+/// parser's own recursion and the depth of the program it builds are
+/// capped, so hostile input fails with an error instead of exhausting the
+/// stack here or in the recursive passes that later walk the program.
 class Parser {
 public:
   Parser(const std::string &Src, std::string *ErrorOut)
@@ -71,10 +75,23 @@ private:
     return Src.substr(Start, Pos - Start);
   }
 
+  /// Parses one expression and records its syntax-tree depth in
+  /// LastDepth (inventions count as depth 1, like Expr::depth()).
   ExprPtr parseExpr() {
+    if (Nesting >= MaxProgramDepth)
+      return error("program nested deeper than " +
+                   std::to_string(MaxProgramDepth));
+    ++Nesting;
+    ExprPtr E = parseNested();
+    --Nesting;
+    return E;
+  }
+
+  ExprPtr parseNested() {
     skipSpace();
     if (Pos >= Src.size())
       return error("unexpected end of input");
+    LastDepth = 1;
 
     // Invention: #BODY where BODY is parenthesized, e.g. #(lambda (+ $0 1)).
     if (Src[Pos] == '#') {
@@ -89,6 +106,7 @@ private:
         return error("invention body has free variables");
       if (!Body->inferType())
         return error("invention body is ill-typed");
+      LastDepth = 1;
       return Expr::invented(Body);
     }
 
@@ -105,12 +123,15 @@ private:
           return nullptr;
         if (!consume(')'))
           return error("expected ')' closing lambda");
+        ++LastDepth;
         return Expr::abstraction(Body);
       }
       Pos = Save; // not a lambda; reparse head as an expression
       ExprPtr Fn = parseExpr();
       if (!Fn)
         return nullptr;
+      // Each argument adds one application node above the head.
+      int Depth = LastDepth;
       std::vector<ExprPtr> Args;
       while (true) {
         skipSpace();
@@ -123,10 +144,15 @@ private:
         ExprPtr A = parseExpr();
         if (!A)
           return nullptr;
+        Depth = std::max(Depth, LastDepth) + 1;
+        if (Depth > MaxProgramDepth)
+          return error("program nested deeper than " +
+                       std::to_string(MaxProgramDepth));
         Args.push_back(A);
       }
       if (Args.empty())
         return error("application needs at least one argument");
+      LastDepth = Depth;
       return Expr::applications(Fn, Args);
     }
 
@@ -179,6 +205,8 @@ private:
   const std::string &Src;
   std::string *ErrorOut;
   size_t Pos = 0;
+  int Nesting = 0;   ///< parseExpr() calls currently active
+  int LastDepth = 0; ///< depth of the expression parseExpr() last returned
 };
 
 } // namespace

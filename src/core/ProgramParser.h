@@ -13,7 +13,8 @@
 ///   (F X Y ...)             curried application
 ///   #(BODY)                 invented library routine
 ///
-/// Returns nullptr on malformed input or unknown primitive names.
+/// Returns nullptr on malformed input, unknown primitive names, or programs
+/// nested deeper than MaxProgramDepth.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,11 @@
 #include "core/Program.h"
 
 namespace dc {
+
+/// Deepest program parseProgram() accepts: a bound on both paren nesting
+/// and the depth of the resulting syntax tree (a long argument list nests
+/// one application node per argument). Learned programs stay far below it.
+constexpr int MaxProgramDepth = 1000;
 
 /// Parses \p Source into an interned program; nullptr on failure. When
 /// \p ErrorOut is non-null, a human-readable diagnostic is stored on failure.

@@ -31,27 +31,32 @@ protected:
 
 TEST_F(GrammarTest, CandidatesRespectTypes) {
   TypeContext Ctx;
-  std::vector<TypePtr> Env;
-  auto Cands = G.candidates(ParentStart, 0, tBool(), Env, Ctx);
-  // Booleans can come from: if, =, >, is-square, is-prime, is-nil. The
-  // candidate's type is stored unapplied; resolve it through its context.
+  std::vector<GrammarCandidate> Cands;
+  G.candidates(ParentStart, 0, TypeRef{tBool()}, nullptr, Ctx, Cands);
+  // Booleans can come from: if, =, >, is-square, is-prime, is-nil. A
+  // candidate carries no typing state; binding it in a context yields its
+  // return type, which must resolve to the request.
   for (const auto &C : Cands) {
-    TypeContext Local = C.Ctx;
-    TypePtr Ret = Local.apply(functionReturn(C.Ty));
-    EXPECT_EQ(Ret->show(), "bool") << C.Leaf->show();
+    TypeContext::Mark M = Ctx.mark();
+    std::vector<TypeRef> ArgTypes;
+    TypeRef Ret = bindCandidate(G, C, TypeRef{tBool()}, nullptr, Ctx, ArgTypes);
+    EXPECT_EQ(Ctx.apply(Ret)->show(), "bool") << C.Leaf->show();
+    Ctx.rollback(M);
   }
   EXPECT_FALSE(Cands.empty());
 }
 
 TEST_F(GrammarTest, CandidatesIncludeTypeMatchingVariables) {
   TypeContext Ctx;
-  std::vector<TypePtr> Env = {tInt(), tList(tInt())};
-  auto Cands = G.candidates(ParentStart, 0, tInt(), Env, Ctx);
+  // Env is innermost-first: the list is $0, the int is $1.
+  TypeEnv Outer{TypeRef{tInt()}, nullptr};
+  TypeEnv Inner{TypeRef{tList(tInt())}, &Outer};
+  std::vector<GrammarCandidate> Cands;
+  G.candidates(ParentStart, 0, TypeRef{tInt()}, &Inner, Ctx, Cands);
   bool SawVariable = false;
   for (const auto &C : Cands)
     if (C.ProductionIdx == -1) {
       SawVariable = true;
-      // Env is outermost-first: the int is $1, the list is $0.
       EXPECT_EQ(C.Leaf->show(), "$1");
     }
   EXPECT_TRUE(SawVariable);
@@ -59,8 +64,9 @@ TEST_F(GrammarTest, CandidatesIncludeTypeMatchingVariables) {
 
 TEST_F(GrammarTest, CandidateProbabilitiesNormalize) {
   TypeContext Ctx;
-  std::vector<TypePtr> Env = {tInt()};
-  auto Cands = G.candidates(ParentStart, 0, tInt(), Env, Ctx);
+  TypeEnv Env{TypeRef{tInt()}, nullptr};
+  std::vector<GrammarCandidate> Cands;
+  G.candidates(ParentStart, 0, TypeRef{tInt()}, &Env, Ctx, Cands);
   double Total = 0;
   for (const auto &C : Cands)
     Total += std::exp(C.LogProb);
