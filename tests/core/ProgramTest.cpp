@@ -76,6 +76,35 @@ TEST_F(ProgramTest, ParseRejectsOutOfRangeNumbers) {
   EXPECT_TRUE(Err.empty()) << Err;
 }
 
+TEST_F(ProgramTest, ParseRejectsDeepNesting) {
+  // Deep input fails with a structured error instead of overflowing the
+  // parser's stack (or that of a later recursive pass over the program).
+  std::string Err;
+  std::string Deep;
+  for (int I = 0; I < 200000; ++I)
+    Deep += "(lambda ";
+  Deep += "$0";
+  Deep += std::string(200000, ')');
+  EXPECT_EQ(parseProgram(Deep, &Err), nullptr);
+  EXPECT_NE(Err.find("nested deeper"), std::string::npos) << Err;
+
+  // One paren level, but each argument nests one more application node.
+  std::string Wide = "(+";
+  for (int I = 0; I < 5000; ++I)
+    Wide += " 1";
+  Wide += ")";
+  EXPECT_EQ(parseProgram(Wide, &Err), nullptr);
+  EXPECT_NE(Err.find("nested deeper"), std::string::npos) << Err;
+
+  std::string Fine;
+  for (int I = 0; I < 100; ++I)
+    Fine += "(lambda ";
+  Fine += "$0" + std::string(100, ')');
+  ExprPtr P = parseProgram(Fine, &Err);
+  ASSERT_NE(P, nullptr) << Err;
+  EXPECT_EQ(P->depth(), 101);
+}
+
 TEST_F(ProgramTest, SizeAndDepth) {
   ExprPtr P = parseProgram("(lambda (+ $0 1))");
   ASSERT_NE(P, nullptr);
