@@ -1,13 +1,12 @@
-//===- bench/bench_recognition_parallel.cpp - Parallel dream training -----===//
+//===- bench/bench_recognition_parallel.cpp - Dream training gates --------===//
 //
-// Wall-clock effect of data-parallel gradient computation on the dream
-// phase: identical (task, program) corpus, NumThreads=1 vs parallel
-// RecognitionModel training. The determinism contract says trained
-// weights and lastLoss() are bit-identical at every thread count —
+// Recognition-model training time on a fixed (task, program) corpus, plus
+// two gates. The determinism contract says trained weights and lastLoss()
+// are bit-identical at every RecognitionParams::NumThreads setting —
 // verified here by parameter fingerprint at 1/4/8 threads, exiting
-// nonzero on any divergence. Also drives predict() from many threads at
-// once and checks every caller sees the serial answer (the thread-safety
-// contract wake-phase guide fan-out relies on).
+// nonzero on any divergence. The bench also drives predict() from many
+// threads at once and checks every caller sees the serial answer (the
+// thread-safety contract wake-phase guide fan-out relies on).
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +14,6 @@
 #include "core/Primitives.h"
 #include "core/ProgramParser.h"
 #include "core/Recognition.h"
-#include "core/ThreadPool.h"
 
 #include <cstdio>
 #include <thread>
@@ -34,7 +32,7 @@ TaskPtr intTask(const std::string &Name,
 }
 
 /// A corpus of arithmetic idioms large enough that per-example gradient
-/// work dominates a training step — the workload the fan-out targets.
+/// work dominates a training step.
 std::vector<Fantasy> buildCorpus() {
   struct Spec {
     const char *Name;
@@ -70,9 +68,7 @@ std::vector<Fantasy> buildCorpus() {
 
 int main() {
   dcbench::JsonReport Report("recognition_parallel");
-  banner("Parallel recognition-model training (thread pool)");
-  const int Threads = threadsFromEnv();
-  const unsigned Resolved = ThreadPool::resolveThreadCount(Threads);
+  banner("Recognition-model training");
 
   std::vector<ExprPtr> Core = prims::functionalCore();
   std::vector<ExprPtr> Extra = prims::arithmeticExtras();
@@ -97,7 +93,7 @@ int main() {
   };
 
   // Determinism gate: bit-identical weights and loss at 1/4/8 threads.
-  double SerialSec = 0, ParallelSec = 0;
+  double SerialSec = 0;
   auto [Fp1, Loss1] = TrainAt(1, &SerialSec);
   auto [Fp4, Loss4] = TrainAt(4, nullptr);
   auto [Fp8, Loss8] = TrainAt(8, nullptr);
@@ -112,20 +108,10 @@ int main() {
   if (!Identical)
     std::exit(1);
 
-  // Timing: serial above vs the environment's thread count.
-  TrainAt(Threads, &ParallelSec);
   row("serial training (1 thread)", SerialSec, "s");
-  row("parallel training (" + std::to_string(Resolved) + " threads)",
-      ParallelSec, "s");
-  if (ParallelSec > 0)
-    row("speedup", SerialSec / ParallelSec, "x");
-  if (std::thread::hardware_concurrency() <= 1)
-    note("(single hardware core: no wall-clock speedup is possible on "
-         "this machine)");
 
   // Concurrent-prediction gate: many threads sharing one model must each
   // reproduce the serial guide exactly.
-  RP.NumThreads = Threads;
   RecognitionModel Model(G, Featurizer, RP);
   Model.trainOnPairs(Corpus);
   auto Signature = [&](const Task &T) {
@@ -164,7 +150,5 @@ int main() {
            : "ERROR: concurrent predictions diverged");
   if (!PredictIdentical)
     std::exit(1);
-  note("(set DC_THREADS to change the parallel thread count; 0 = one");
-  note(" per hardware core)");
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include "core/Recognition.h"
 
-#include "core/ThreadPool.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
@@ -16,6 +15,13 @@ using namespace dc;
 
 RecognitionModel::RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
                                    const RecognitionParams &P)
+    : RecognitionModel(G, F, P, ShapeOnly{}) {
+  Net = nn::Mlp(Featurizer.dimension(), Params.HiddenDim,
+                NumSlots * NumChildren, Rng);
+}
+
+RecognitionModel::RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
+                                   const RecognitionParams &P, ShapeOnly)
     : Base(G), Structure(G), Featurizer(F), Params(P), Rng(P.Seed) {
   NumChildren = static_cast<int>(G.productions().size()) + 1;
 
@@ -33,9 +39,8 @@ RecognitionModel::RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
     Offset += std::max(1, functionArity(G.productions()[I].Ty));
   }
   NumSlots = Params.Bigram ? Offset : 1;
-
   Net = nn::Mlp(Featurizer.dimension(), Params.HiddenDim,
-                NumSlots * NumChildren, Rng);
+                NumSlots * NumChildren);
 }
 
 int RecognitionModel::slotIndex(int ParentIdx, int ArgIdx) const {
@@ -132,12 +137,10 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
   if (Pairs.empty())
     return;
   obs::ScopedSpan Span("recognition.sgd");
-  // Pre-featurize (featurization is deterministic per task, so the
-  // fan-out is index-addressed and order-free).
-  std::vector<std::vector<float>> Features(Pairs.size());
-  parallelFor(Params.NumThreads, Pairs.size(), [&](size_t I) {
-    Features[I] = Featurizer.featurize(*Pairs[I].T);
-  });
+  std::vector<std::vector<float>> Features;
+  Features.reserve(Pairs.size());
+  for (const Fantasy &P : Pairs)
+    Features.push_back(Featurizer.featurize(*P.T));
 
   nn::Adam Optimizer(Net, Params.LearningRate);
   std::uniform_int_distribution<size_t> Pick(0, Pairs.size() - 1);
@@ -155,17 +158,13 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
   nn::Workspace WS;
   nn::Gradients BatchGrad(Net);
   std::vector<size_t> Picked(Batch);
-  std::vector<double> Losses(Batch);
   std::vector<std::vector<float>> Inputs(Batch);
-  // Per-example row buffers for the decision-walk fan-out (the only
-  // stage still fanned over the pool: it is search-structure work, not
-  // linear algebra). Index-addressed, so the fan-out is order-free.
-  std::vector<std::vector<float>> LogitRows(Batch), DRows(Batch);
+  std::vector<float> LogitRow, DRow;
 
   double RunningLoss = 0;
   long Counted = 0;
-  // Telemetry is write-only: step/worker timings feed histograms and the
-  // utilization counters, never the training loop itself.
+  // Telemetry is write-only: step timings feed histograms, never the
+  // training loop itself.
   const bool TimeSteps = obs::Telemetry::enabled();
   const int64_t TrainStart =
       TimeSteps ? obs::Tracer::global().nowMicros() : 0;
@@ -181,52 +180,27 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
     const nn::Matrix &Logits = Net.forwardBatch(Inputs, WS);
     const int OutDim = Logits.cols();
 
-    // Decision walks fan out over the pool: each example reads its own
-    // logit row and fills its own dL/dlogits row.
-    int64_t GradStart = TimeSteps ? obs::Tracer::global().nowMicros() : 0;
-    parallelFor(Params.NumThreads, static_cast<size_t>(Batch),
-                [&](size_t J) {
-                  int64_t T0 = TimeSteps
-                                   ? obs::Tracer::global().nowMicros()
-                                   : 0;
-                  const float *Row =
-                      Logits.data() + J * static_cast<size_t>(OutDim);
-                  LogitRows[J].assign(Row, Row + OutDim);
-                  const Fantasy &P = Pairs[Picked[J]];
-                  bool HadDecisions = false;
-                  Losses[J] =
-                      lossAndDLogits(LogitRows[J], P.T->request(),
-                                     P.Program, DRows[J], &HadDecisions);
-                  if (HadDecisions)
-                    for (float &D : DRows[J])
-                      D *= Scale;
-                  if (TimeSteps) {
-                    int64_t Dur =
-                        obs::Tracer::global().nowMicros() - T0;
-                    obs::observe("recognition.grad_micros",
-                                 static_cast<double>(Dur));
-                    obs::countAdd("recognition.grad_busy_micros", Dur);
-                  }
-                });
-    int64_t ReduceStart = 0;
-    if (TimeSteps) {
-      ReduceStart = obs::Tracer::global().nowMicros();
-      obs::countAdd("recognition.grad_wall_micros",
-                    ReduceStart - GradStart);
+    // Decision walks, one example at a time: each reads its logit row
+    // and fills its dL/dlogits row of the batched backward's input. An
+    // out-of-support example's all-zero row contributes exactly nothing.
+    WS.BatchScratch.resize(Batch, OutDim);
+    for (int J = 0; J < Batch; ++J) {
+      const float *Row = Logits.data() + J * static_cast<size_t>(OutDim);
+      LogitRow.assign(Row, Row + OutDim);
+      const Fantasy &P = Pairs[Picked[J]];
+      RunningLoss += lossAndDLogits(LogitRow, P.T->request(), P.Program,
+                                    DRow, nullptr);
+      ++Counted;
+      float *Out = WS.BatchScratch.data() + static_cast<size_t>(J) * OutDim;
+      for (int K = 0; K < OutDim; ++K)
+        Out[K] = DRow[K] * Scale;
     }
+    const int64_t ReduceStart =
+        TimeSteps ? obs::Tracer::global().nowMicros() : 0;
     // One GEMM per layer accumulates the whole batch into BatchGrad
     // (ascending example order per element — the deterministic
-    // reduction, now inside the kernel). An out-of-support example's
-    // all-zero row contributes exactly nothing, as before.
-    WS.BatchScratch.resize(Batch, OutDim);
-    for (int J = 0; J < Batch; ++J)
-      std::copy(DRows[J].begin(), DRows[J].end(),
-                WS.BatchScratch.data() + static_cast<size_t>(J) * OutDim);
+    // reduction, inside the kernel).
     Net.backwardBatch(WS.BatchScratch, WS, BatchGrad);
-    for (int J = 0; J < Batch; ++J) {
-      RunningLoss += Losses[J];
-      ++Counted;
-    }
     Optimizer.step(BatchGrad); // applies the update and zeroes BatchGrad
     if (TimeSteps)
       obs::observe("recognition.reduce_micros",
@@ -242,8 +216,6 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
     obs::countAdd("recognition.train_micros",
                   obs::Tracer::global().nowMicros() - TrainStart);
     obs::gaugeSet("recognition.batch_size", Batch);
-    obs::gaugeSet("recognition.threads",
-                  ThreadPool::resolveThreadCount(Params.NumThreads));
     obs::gaugeSet("recognition.last_loss", LastLoss);
   }
 }
@@ -467,7 +439,8 @@ dc::loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
   P.LogitClamp = bitsToFloat(
       static_cast<std::uint32_t>(std::stoul(ClampHex, nullptr, 16)));
 
-  auto M = std::make_unique<RecognitionModel>(G, F, P);
+  std::unique_ptr<RecognitionModel> M(
+      new RecognitionModel(G, F, P, RecognitionModel::ShapeOnly{}));
   if (M->slotCount() != Slots || M->childCount() != Children) {
     loadFail(ErrorOut,
              "shape mismatch: checkpoint has " + std::to_string(Slots) +

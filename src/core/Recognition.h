@@ -20,12 +20,11 @@
 ///
 /// Training data is replays (solved frontiers) plus fantasies (programs
 /// sampled from the generative model, executed to produce tasks). Training
-/// is minibatched: each optimizer step accumulates per-example gradients
-/// (data-parallel across the shared thread pool, reduced in fixed example
-/// order so trained weights are bit-identical at every thread count) and
-/// applies one Adam update on the batch mean. predict() is const and
-/// thread-safe — the MLP's activations live in per-call workspaces, never
-/// in the net.
+/// is minibatched: each optimizer step runs one GEMM forward and one GEMM
+/// backward over the batch (reduced in fixed example order, so trained
+/// weights are a pure function of the seed) and applies one Adam update
+/// on the batch mean. predict() is const and thread-safe — the MLP's
+/// activations live in per-call workspaces, never in the net.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,12 +60,11 @@ struct RecognitionParams {
   bool MapObjective = true;     ///< L^MAP vs L^post
   float LogitClamp = 6.0f;      ///< predicted weights live in ±clamp
   unsigned Seed = 0;
-  /// Worker threads for the dream phase: fantasy sampling, pre-
-  /// featurization, and per-example gradient computation all fan out over
-  /// the shared pool (0 = per-core, 1 = serial, N = at most N). Trained
-  /// weights, lastLoss(), and the fantasy set are bit-identical at every
-  /// setting: gradients accumulate into per-example buffers reduced in
-  /// fixed example order before each Adam step.
+  /// Worker threads for fantasy sampling, which fans out over the shared
+  /// pool (0 = per-core, 1 = serial, N = at most N). The fantasy set is
+  /// bit-identical at every setting. Gradient steps run on the calling
+  /// thread: at this net size a fan-out of the decision walks measured
+  /// slower than the serial loop (bench_recognition_parallel).
   int NumThreads = 1;
 };
 
@@ -112,9 +110,8 @@ public:
   /// Cross-entropy loss + gradient for one (task, program) pair against
   /// the current weights: accumulates parameter gradients scaled by
   /// \p GradScale into \p G and returns the (unscaled) loss. Reentrant —
-  /// this is the unit of work the training loop fans out, one
-  /// (Workspace, Gradients) per concurrent caller. Public for gradient
-  /// checks and benchmarks.
+  /// one (Workspace, Gradients) per concurrent caller. Public for
+  /// gradient checks and benchmarks.
   double exampleLossAndGrad(const std::vector<float> &Features,
                             const TypePtr &Request, ExprPtr Program,
                             nn::Workspace &WS, nn::Gradients &G,
@@ -142,6 +139,15 @@ public:
   const RecognitionParams &params() const { return Params; }
 
 private:
+  struct ShapeOnly {};
+  /// Lays out the slots and shapes an all-zero net without drawing from
+  /// the RNG: the load path overwrites every weight.
+  RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
+                   const RecognitionParams &Params, ShapeOnly);
+  friend std::unique_ptr<RecognitionModel>
+  loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
+                       std::istream &In, std::string *ErrorOut);
+
   int slotIndex(int ParentIdx, int ArgIdx) const;
   void fillGrammarWeights(const std::vector<float> &Logits,
                           ContextualGrammar &CG) const;

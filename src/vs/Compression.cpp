@@ -113,22 +113,6 @@ bool dc::detail::isUsefulInventionBody(ExprPtr Body, const Grammar &G) {
 
 namespace {
 
-/// One proposed library routine.
-struct Candidate {
-  VsId Space = -1;          ///< anchor node rewrites fire at
-  ExprPtr Invention = nullptr; ///< closed #(...) routine added to D
-  /// What an occurrence of Space becomes: the invention applied to the
-  /// open term's free variables, e.g. (#(λ (+ $0 $0)) $1).
-  ExprPtr RewriteExpr = nullptr;
-  /// The normalized open term Space anchors — the content-stable identity
-  /// of this candidate (Space is a table-local id; the term is not). The
-  /// cross-round rewrite memo keys on it: Invention and RewriteExpr are
-  /// both pure functions of the anchor term, so (anchor term, beam
-  /// program, steps) determines the rewritten beam entry exactly.
-  ExprPtr AnchorTerm = nullptr;
-  int TasksCovered = 0;
-};
-
 /// printf-append into a per-candidate log buffer, so verbose output from
 /// concurrently scored candidates can be replayed in candidate order.
 void appendf(std::string &Out, const char *Fmt, ...) {
@@ -140,31 +124,69 @@ void appendf(std::string &Out, const char *Fmt, ...) {
   Out += Buf;
 }
 
-/// One backend-agnostic candidate for a greedy round: the invention plus
-/// a hook that rewrites every frontier entry under it. The hook runs
-/// inside a scoring worker (one per candidate), so it must only touch
-/// the frontiers it is handed and per-candidate state it owns.
+/// One proposed library routine, as either proposal source hands it to
+/// the shared scoring round.
 struct RoundCandidate {
-  ExprPtr Invention = nullptr;
+  /// The normalized open term rewrites fire at — the content-stable
+  /// identity of the candidate, and the rewrite memo's outer key:
+  /// Invention and the rewrite are pure functions of it.
+  ExprPtr AnchorTerm = nullptr;
+  ExprPtr Invention = nullptr; ///< closed #(...) routine added to D
   int TasksCovered = 0;
-  std::function<void(std::vector<Frontier> &Rewritten, size_t CI,
-                     std::string &VerboseLog)>
-      RewriteFrontiers;
+  /// The raw rewritten member of beam entry I of frontier X (whose
+  /// program is the third argument) under D ∪ {Invention}, before
+  /// β-normalization; null keeps the entry. Only the worker scoring this
+  /// candidate calls it, so it may keep per-candidate scratch state.
+  std::function<ExprPtr(size_t X, size_t I, ExprPtr Program)> RewriteMember;
 };
 
-/// The shared scoring/adoption half of a greedy round, identical for
-/// both proposal backends by construction: score each candidate in
-/// parallel by rewriting all beams under D ∪ {invention} and evaluating
-/// libraryScore, then adopt the best improving candidate (ties toward
-/// the lowest candidate index — exactly the order a serial loop would
-/// visit). Candidates are independent: each worker copies the grammar
-/// and frontiers and writes score + rewrite into its own slot; verbose
-/// output is buffered per candidate and replayed in order. Returns true
-/// when a candidate was adopted into \p Result.
+/// Cross-round rewrite memo: anchor term → (beam program → rewritten
+/// beam entry). Scoring's dominant cost is rewriting + β-normalizing
+/// every beam under every candidate; for one proposal source the outcome
+/// for a pair is a pure function of (anchor term, beam program), because
+/// both sources break cost ties by term content. After an adoption only
+/// the pairs whose beam the new invention rewrote — or whose candidate is
+/// newly proposed — miss; everything else replays from the memo.
+using RewriteMemo =
+    std::unordered_map<ExprPtr, std::unordered_map<ExprPtr, ExprPtr>>;
+
+/// The greedy round both proposal sources share: score each candidate
+/// in parallel by rewriting all beams under D ∪ {invention} and
+/// evaluating libraryScore, then adopt the best improving candidate (ties
+/// toward the lowest candidate index — exactly the order a serial loop
+/// would visit). Candidates are independent: each worker copies the
+/// grammar and frontiers and writes score + rewrite into its own slot;
+/// verbose output is buffered per candidate and replayed in order. A
+/// rewritten member is β-normalized and kept only if it stays typeable;
+/// a null member or normal form (step budget exhausted) keeps the
+/// original entry. Returns true when a candidate was adopted into
+/// \p Result.
 bool scoreAndAdoptBest(CompressionResult &Result,
-                       const std::vector<RoundCandidate> &Candidates,
+                       std::vector<RoundCandidate> &Candidates,
+                       RewriteMemo *Memo, bool TopDown,
                        const CompressionParams &Params) {
   obs::ScopedSpan ScoreSpan("compress.score");
+  // Hand each candidate its memo sub-map up front, serially: anchors are
+  // unique within a round (admission dedups bodies, and the body
+  // determines the anchor), so no two workers share a sub-map and the
+  // outer map never rehashes under the fan-out.
+  std::vector<std::unordered_map<ExprPtr, ExprPtr> *> Memos(
+      Candidates.size(), nullptr);
+  if (Memo)
+    for (size_t CI = 0; CI < Candidates.size(); ++CI)
+      Memos[CI] = &(*Memo)[Candidates[CI].AnchorTerm];
+#ifndef NDEBUG
+  {
+    std::set<const void *> Distinct(Memos.begin(), Memos.end());
+    assert((!Memo || Distinct.size() == Memos.size()) &&
+           "candidate anchors must be unique within a round");
+  }
+#endif
+  const char *MemoHits =
+      TopDown ? "topdown.rewrite.hits" : "vs_cache.rewrite.hits";
+  const char *MemoMisses =
+      TopDown ? "topdown.rewrite.misses" : "vs_cache.rewrite.misses";
+
   struct ScoredCandidate {
     double Score = NegInf;
     std::vector<Frontier> Rewritten;
@@ -176,12 +198,49 @@ bool scoreAndAdoptBest(CompressionResult &Result,
   InnerParams.NumThreads = 1; // summaries stay serial inside workers
   parallelFor(Params.NumThreads, Candidates.size(), [&](size_t CI) {
     obs::ScopedSpan CandidateSpan("compress.score.candidate");
-    const RoundCandidate &C = Candidates[CI];
+    RoundCandidate &C = Candidates[CI];
     ScoredCandidate &S = Scored[CI];
+    std::unordered_map<ExprPtr, ExprPtr> *CandMemo = Memos[CI];
     S.Extended = Result.NewGrammar;
     S.Extended.addProduction(C.Invention);
     S.Rewritten = Result.RewrittenFrontiers;
-    C.RewriteFrontiers(S.Rewritten, CI, S.VerboseLog);
+    for (size_t X = 0; X < S.Rewritten.size(); ++X) {
+      auto &Entries = S.Rewritten[X].entries();
+      for (size_t I = 0; I < Entries.size(); ++I) {
+        const ExprPtr Before = Entries[I].Program;
+        if (CandMemo) {
+          auto It = CandMemo->find(Before);
+          if (It != CandMemo->end()) {
+            // Replay from a previous round. A beam the last adoption
+            // rewrote arrives here as a different program — an
+            // automatic miss.
+            Entries[I].Program = It->second;
+            obs::countAdd(MemoHits);
+            continue;
+          }
+          obs::countAdd(MemoMisses);
+        }
+        // The member may be a refactoring with explicit β-redexes, e.g.
+        // ((λ (map $0 xs)) #invention); normalize so the grammar can
+        // score it. Inventions are atomic and survive.
+        ExprPtr After = Before;
+        if (ExprPtr Member = C.RewriteMember(X, I, Before))
+          if (ExprPtr Normal = Member->betaNormalForm(512)) {
+            if (Params.Verbose && Normal != Before && CI < 3)
+              appendf(S.VerboseLog, "    rewrite[%zu] %s => %s\n", CI,
+                      Before->show().c_str(), Normal->show().c_str());
+            if (Normal->inferType())
+              After = Normal;
+          }
+        Entries[I].Program = After;
+        if (CandMemo)
+          CandMemo->emplace(Before, After);
+      }
+    }
+    // Free the hook's scratch (cone, overlay, DP memo) now, not at the
+    // end of the round: across all candidates it would add up to the
+    // table size times the candidate count.
+    C.RewriteMember = nullptr;
     S.Score = libraryScore(S.Extended, S.Rewritten, InnerParams);
     obs::countAdd("compress.candidates_scored");
     if (Params.Verbose && CI < 12)
@@ -323,176 +382,94 @@ double dc::libraryScore(Grammar &G, const std::vector<Frontier> &Frontiers,
 
 namespace {
 
-/// The version-space backend's greedy rounds: per-program β-closure
-/// shards, coverage ranking, proposal validation, then the shared
-/// scoring/adoption round.
-void runVersionSpaceRounds(CompressionResult &Result,
-                           const CompressionParams &Params) {
-  // The content-addressed shard cache (cross-frontier and cross-round
-  // closure reuse) and the cross-round rewrite memo share one escape
-  // hatch: with UseVsCache off every pure value is recomputed from
-  // scratch, and the results are bit-identical either way (DESIGN.md §8,
-  // gated by bench_vs_cache).
-  VersionSpaceCache *Cache = nullptr;
-  if (Params.UseVsCache) {
-    Cache = &VersionSpaceCache::global();
-    Cache->setNodeBudget(Params.VsCacheNodeBudget);
-  }
-  // Rewrite memo: anchor term → (beam program → rewritten beam entry).
-  // Scoring's dominant cost is extracting + β-normalizing every beam
-  // under every candidate; the outcome for one pair is a pure function of
-  // (anchor term, beam program, inversion depth) because extraction
-  // breaks ties by term content (vs/VersionSpace.cpp). After an adoption
-  // only the pairs whose beam the new invention actually rewrote — or
-  // whose candidate is newly proposed — miss; everything else replays
-  // from the memo. Within a round anchors are unique per candidate
-  // (bodies are deduped at admission), so each scoring worker owns its
-  // sub-map exclusively; the outer map is only touched between fan-outs.
-  std::unordered_map<ExprPtr, std::unordered_map<ExprPtr, ExprPtr>>
-      RewriteMemo;
-  int RewriteMemoSteps = std::numeric_limits<int>::min();
-
-  for (int Round = 0; Round < Params.MaxNewInventions; ++Round) {
-    obs::countAdd("compress.rounds");
-    int64_t ClosureStart =
-        obs::Telemetry::enabled() ? obs::Tracer::global().begin() : 0;
-    // Build the refactoring closure of every *distinct* beam program. A
-    // closure shard — betaClosure in a fresh private table — is a pure
-    // function of (program, Steps), which makes it the unit of
-    // content-addressed caching: structurally identical beam entries
-    // (near-identical beams are common on list/text corpora) reuse one
-    // shard across frontiers, rounds, and sleep phases instead of
-    // rebuilding it. The master table is assembled by absorbing shards in
-    // first-occurrence order (frontier order, entry order), so the merged
-    // table and everything downstream of it is a pure function of the
-    // frontiers and Steps — never of the thread count, and never of which
-    // lookups hit (a hit returns a table bit-identical to a rebuild).
-    // Large corpora can overflow the node cap at n=3; degrade the
-    // inversion depth rather than giving up (shallower refactorings still
-    // beat none), dropping the shards the overflowed attempt installed
-    // before retrying.
-    const size_t NumFrontiers = Result.RewrittenFrontiers.size();
+/// One greedy round's version-space state: the merged β-closure table of
+/// every beam, each beam entry's closure root, the prewarmed extractions
+/// and the parent index. The candidates' rewrite hooks read it, so it
+/// outlives the round's scoring.
+class VersionSpaceRound {
+public:
+  /// Builds the refactoring closure of every *distinct* beam program at
+  /// RefactorSteps. A closure shard — betaClosure in a fresh private
+  /// table — is a pure function of (program, steps), which makes it the
+  /// unit of content-addressed caching: structurally identical beam
+  /// entries (near-identical beams are common on list/text corpora)
+  /// reuse one shard across frontiers, rounds, and sleep phases instead
+  /// of rebuilding it. The master table absorbs shards in
+  /// first-occurrence order (frontier order, entry order), so it and
+  /// everything downstream of it is a pure function of the frontiers —
+  /// never of the thread count, and never of which lookups hit (a hit
+  /// returns a table bit-identical to a rebuild). Returns false when some
+  /// shard or the merged table exceeds MaxVersionNodes.
+  bool buildClosures(const std::vector<Frontier> &Frontiers,
+                     const CompressionParams &Params) {
+    obs::ScopedSpan ClosureSpan("compress.closure");
+    VersionSpaceCache *Cache =
+        Params.UseVsCache ? &VersionSpaceCache::global() : nullptr;
+    const int Steps = Params.RefactorSteps;
     std::vector<ExprPtr> Programs;
     std::unordered_map<ExprPtr, size_t> ProgramSlot;
-    for (const Frontier &F : Result.RewrittenFrontiers)
+    for (const Frontier &F : Frontiers)
       for (const FrontierEntry &E : F.entries())
         if (ProgramSlot.emplace(E.Program, Programs.size()).second)
           Programs.push_back(E.Program);
 
-    VersionTable VT;
-    std::vector<std::vector<VsId>> Closures;
-    int Steps = Params.RefactorSteps;
-    bool ClosureGaveUp = false;
-    for (;; --Steps) {
-      struct ShardSlot {
-        VsClosureShardPtr Shard;
-        bool Hit = false;       ///< served from the cache
-        bool Installed = false; ///< this attempt inserted it
-      };
-      std::vector<ShardSlot> Shards(Programs.size());
-      CancellationToken Cancel;
-      parallelFor(
-          Params.NumThreads, Programs.size(),
-          [&](size_t PI) {
-            obs::ScopedSpan ShardSpan("compress.closure.shard");
-            ShardSlot &S = Shards[PI];
-            if (Cache)
-              if ((S.Shard = Cache->lookup(Programs[PI], Steps))) {
-                S.Hit = true;
-                // A stale oversized entry (installed under a larger cap
-                // by an earlier phase) must trigger the same degrade a
-                // rebuild would — size is a pure property of the key.
-                if (S.Shard->nodes() > Params.MaxVersionNodes)
-                  Cancel.cancel();
-                return;
-              }
-            S.Shard = VsClosureShard::build(Programs[PI], Steps);
-            if (S.Shard->nodes() > Params.MaxVersionNodes) {
-              // An oversized shard means this Steps level is over budget
-              // no matter how the merge would have gone; stop the other
-              // workers early. Which shards got built is
-              // thread-dependent, but oversize is a pure property of
-              // (program, Steps), so only the (deterministic) overflow
-              // verdict survives — and oversized shards are never
-              // installed.
-              Cancel.cancel();
-              return;
-            }
-            if (Cache)
-              S.Installed = Cache->insert(S.Shard);
-          },
-          &Cancel);
-      bool Overflow = Cancel.cancelled();
-      if (!Overflow) {
-        obs::ScopedSpan MergeSpan("compress.closure.merge");
-        VT = VersionTable();
-        std::vector<VsId> Roots(Programs.size(), -1);
-        std::vector<VsId> Memo;
-        for (size_t PI = 0; PI < Programs.size() && !Overflow; ++PI) {
-          const VsClosureShard &S = *Shards[PI].Shard;
-          Memo.assign(S.Table.size(), -1);
-          Roots[PI] = VT.absorb(S.Table, S.Root, Memo);
-          Overflow = VT.size() > Params.MaxVersionNodes;
-        }
-        if (!Overflow) {
-          Closures.assign(NumFrontiers, {});
-          for (size_t X = 0; X < NumFrontiers; ++X)
-            for (const FrontierEntry &E :
-                 Result.RewrittenFrontiers[X].entries())
-              Closures[X].push_back(Roots[ProgramSlot[E.Program]]);
-        }
-      }
-      if (!Overflow)
-        break;
-      // Overflow-degrade contract: a degraded attempt takes back every
-      // shard it installed (plus any stale oversized hit) before retrying
-      // shallower, so near-cap shards never linger in the cache and the
-      // shallower retry — whose keys differ in Steps anyway — can never
-      // observe this attempt's entries.
-      if (Cache)
-        for (size_t PI = 0; PI < Shards.size(); ++PI)
-          if (Shards[PI].Installed ||
-              (Shards[PI].Hit &&
-               Shards[PI].Shard->nodes() > Params.MaxVersionNodes))
-            Cache->evict(Programs[PI], Steps);
-      if (Steps <= 1) {
-        // Even the shallowest inversion depth overflows: give up on this
-        // round entirely. The partially built table and closures must
-        // never reach proposal ranking (a short Closures row would be
-        // indexed out of bounds by the scoring loop below).
-        ClosureGaveUp = true;
-        break;
-      }
-      if (Params.Verbose)
-        std::fprintf(stderr,
-                     "compression: version table overflow at n=%d; "
-                     "retrying with n=%d\n",
-                     Steps, Steps - 1);
-    }
-    if (ClosureGaveUp)
-      break; // corpus too large for refactoring at any depth
-    if (Steps != RewriteMemoSteps) {
-      // Extractions depend on the inversion depth: the first round, and
-      // any round whose degrade ladder settled on a different depth,
-      // invalidates every memoized rewrite.
-      RewriteMemo.clear();
-      RewriteMemoSteps = Steps;
-    }
-#ifndef NDEBUG
-    for (size_t X = 0; X < NumFrontiers; ++X)
-      assert(Closures[X].size() ==
-                 Result.RewrittenFrontiers[X].entries().size() &&
-             "every beam entry needs exactly one closure root");
-#endif
-    if (obs::Telemetry::enabled()) {
-      obs::Tracer::global().end("compress.closure", ClosureStart);
-      obs::observe("compress.version_nodes",
-                   static_cast<double>(VT.size()));
-      obs::gaugeSet("compress.refactor_steps", Steps);
-    }
-    int64_t ProposeStart =
-        obs::Telemetry::enabled() ? obs::Tracer::global().begin() : 0;
+    std::vector<VsClosureShardPtr> Shards(Programs.size());
+    CancellationToken Cancel;
+    parallelFor(
+        Params.NumThreads, Programs.size(),
+        [&](size_t PI) {
+          obs::ScopedSpan ShardSpan("compress.closure.shard");
+          VsClosureShardPtr &S = Shards[PI];
+          if (Cache)
+            S = Cache->lookup(Programs[PI], Steps);
+          if (!S) {
+            S = VsClosureShard::build(Programs[PI], Steps);
+            // Oversized shards are never installed.
+            if (Cache && S->nodes() <= Params.MaxVersionNodes)
+              Cache->insert(S);
+          }
+          // An oversized shard (or a stale oversized hit, installed under
+          // a larger cap by an earlier phase) overflows the round no
+          // matter how the merge would have gone; stop the other workers
+          // early. Which shards got built is thread-dependent, but size
+          // is a pure property of (program, steps), so only the
+          // deterministic overflow verdict survives.
+          if (S->nodes() > Params.MaxVersionNodes)
+            Cancel.cancel();
+        },
+        &Cancel);
+    if (Cancel.cancelled())
+      return false;
 
+    std::vector<VsId> Roots(Programs.size(), -1);
+    {
+      obs::ScopedSpan MergeSpan("compress.closure.merge");
+      std::vector<VsId> Memo;
+      for (size_t PI = 0; PI < Programs.size(); ++PI) {
+        const VsClosureShard &S = *Shards[PI];
+        Memo.assign(S.Table.size(), -1);
+        Roots[PI] = VT.absorb(S.Table, S.Root, Memo);
+        if (VT.size() > Params.MaxVersionNodes) {
+          VT = VersionTable(); // the top-down round must not pay for it
+          return false;
+        }
+      }
+    }
+    Closures.assign(Frontiers.size(), {});
+    for (size_t X = 0; X < Frontiers.size(); ++X)
+      for (const FrontierEntry &E : Frontiers[X].entries())
+        Closures[X].push_back(Roots[ProgramSlot[E.Program]]);
+    obs::observe("compress.version_nodes", static_cast<double>(VT.size()));
+    return true;
+  }
+
+  /// Coverage ranking and proposal validation over the built closures.
+  /// Each candidate anchors at the hash-consed singleton of its
+  /// normalized open term and rewrites beams by extractWithCandidate.
+  std::vector<RoundCandidate> propose(const CompressionResult &Result,
+                                      int Round,
+                                      const CompressionParams &Params) {
+    obs::ScopedSpan ProposeSpan("compress.propose");
     // Count, for each version-space node, how many tasks' refactorings
     // contain it. Frontiers fan out in chunks: each worker accumulates a
     // chunk-private count vector (reachable() is a const read), and the
@@ -542,7 +519,6 @@ void runVersionSpaceRounds(CompressionResult &Result,
     // rewriting. Computing it up front makes it strictly read-only for
     // everything that follows: proposal workers and scoring workers alike
     // layer private overlays on top of it for nodes interned later.
-    std::vector<Extraction> Prewarmed;
     {
       obs::ScopedSpan PrewarmSpan("compress.prewarm");
       Prewarmed = VT.extractAll();
@@ -560,7 +536,7 @@ void runVersionSpaceRounds(CompressionResult &Result,
       ExprPtr Body;          ///< λ-closed invention body
       std::vector<int> Free; ///< free indices the body was closed over
     };
-    std::vector<Candidate> Candidates;
+    std::vector<RoundCandidate> Candidates;
     std::set<ExprPtr> SeenBodies;
     const size_t ScanChunk = std::max<size_t>(
         32, 4 * static_cast<size_t>(
@@ -615,11 +591,26 @@ void runVersionSpaceRounds(CompressionResult &Result,
             TasksCovering[Anchor] < Params.MinimumTasksCovered)
           continue; // the normal form itself is not exposed often enough
         ExprPtr Invention = Expr::invented(P.Body);
+        // What an occurrence of the anchor becomes: the invention applied
+        // to the open term's free variables, e.g. (#(λ (+ $0 $0)) $1).
         ExprPtr Rewrite = Invention;
         for (int I : P.Free)
           Rewrite = Expr::application(Rewrite, Expr::index(I));
-        Candidates.push_back({Anchor, Invention, Rewrite, P.Term,
-                              TasksCovering[Anchor]});
+        // The hook runs inside a scoring worker, against the read-only
+        // table, parent index and prewarmed extractions, with a private
+        // overlay and the candidate's cone computed on first use.
+        Candidates.push_back(
+            {P.Term, Invention, TasksCovering[Anchor],
+             [this, Anchor, Rewrite, Cone = std::vector<char>(),
+              Overlay = std::unordered_map<VsId, Extraction>()](
+                 size_t X, size_t I, ExprPtr) mutable {
+               if (Cone.empty())
+                 Cone = VT.coneAbove(Anchor, Parents);
+               return VT
+                   .extractWithCandidate(Closures[X][I], Anchor, Rewrite,
+                                         Cone, Prewarmed, Overlay)
+                   .Program;
+             }});
       }
     }
     if (Params.Verbose)
@@ -628,217 +619,61 @@ void runVersionSpaceRounds(CompressionResult &Result,
                    "baseline %.2f\n",
                    Round, Ranked.size(), Candidates.size(),
                    Result.FinalScore);
-    if (obs::Telemetry::enabled()) {
-      obs::Tracer::global().end("compress.propose", ProposeStart);
-      obs::countAdd("compress.candidates_ranked",
-                    static_cast<long>(Ranked.size()));
-      obs::countAdd("compress.candidates_proposed",
-                    static_cast<long>(Candidates.size()));
-      for (const Candidate &C : Candidates)
-        obs::observe("compress.candidate_coverage", C.TasksCovered);
-    }
-    if (Candidates.empty())
-      break;
+    obs::countAdd("compress.candidates_ranked",
+                  static_cast<long>(Ranked.size()));
     // Admission's incorporate() calls were the round's last interning, so
     // the reverse edges are final: each candidate's cone is then a walk
     // over its own ancestors instead of a scan of the table.
-    VsParentIndex Parents;
-    {
+    if (!Candidates.empty()) {
       obs::ScopedSpan IndexSpan("compress.parent_index");
       Parents = VT.parentIndex();
     }
-
-    // Hand each candidate its rewrite-memo sub-map up front, serially:
-    // anchors are unique within a round (admission dedups bodies, and the
-    // body determines the anchor), so no two workers share a sub-map and
-    // the outer map never rehashes under the fan-out.
-    std::vector<std::unordered_map<ExprPtr, ExprPtr> *> Memos(
-        Candidates.size(), nullptr);
-    if (Params.UseVsCache)
-      for (size_t CI = 0; CI < Candidates.size(); ++CI)
-        Memos[CI] = &RewriteMemo[Candidates[CI].AnchorTerm];
-#ifndef NDEBUG
-    {
-      std::set<const void *> Distinct(Memos.begin(), Memos.end());
-      assert((!Params.UseVsCache || Distinct.size() == Memos.size()) &&
-             "candidate anchors must be unique within a round");
-    }
-#endif
-    // Package the candidates for the shared scoring round: the rewrite
-    // hook runs inside a scoring worker, against the read-only table,
-    // parent index and prewarmed extractions with a private overlay.
-    std::vector<RoundCandidate> RoundCands;
-    RoundCands.reserve(Candidates.size());
-    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-      const Candidate C = Candidates[CI];
-      std::unordered_map<ExprPtr, ExprPtr> *Memo = Memos[CI];
-      RoundCands.push_back(
-          {C.Invention, C.TasksCovered,
-           [C, Memo, &VT, &Closures, &Prewarmed, &Parents,
-            &Params](std::vector<Frontier> &Rewritten, size_t RoundCI,
-                     std::string &Log) {
-             std::vector<char> Cone = VT.coneAbove(C.Space, Parents);
-             std::unordered_map<VsId, Extraction> Overlay;
-             for (size_t X = 0; X < Rewritten.size(); ++X) {
-               auto &Entries = Rewritten[X].entries();
-               for (size_t I = 0; I < Entries.size(); ++I) {
-                 const ExprPtr Before = Entries[I].Program;
-                 if (Memo) {
-                   auto It = Memo->find(Before);
-                   if (It != Memo->end()) {
-                     // Replay from a previous round. Identical to
-                     // recomputing: the value is a pure function of
-                     // (anchor term, beam program, Steps), and a beam the
-                     // last adoption rewrote arrives here as a different
-                     // program — an automatic miss.
-                     Entries[I].Program = It->second;
-                     obs::countAdd("vs_cache.rewrite.hits");
-                     continue;
-                   }
-                   obs::countAdd("vs_cache.rewrite.misses");
-                 }
-                 // The extracted member may be a refactoring with
-                 // explicit β-redexes, e.g. ((λ (map $0 xs)) #invention);
-                 // normalize so the grammar can score it. Inventions are
-                 // atomic and survive. A null extraction or null normal
-                 // form (step budget exhausted) keeps the original entry.
-                 ExprPtr After = Before;
-                 Extraction E = VT.extractWithCandidate(
-                     Closures[X][I], C.Space, C.RewriteExpr, Cone,
-                     Prewarmed, Overlay);
-                 if (E.Program) {
-                   ExprPtr Normal = E.Program->betaNormalForm(512);
-                   if (Normal) {
-                     if (Params.Verbose && Normal != Before && RoundCI < 3)
-                       appendf(Log, "    rewrite[%zu] %s => %s\n", RoundCI,
-                               Before->show().c_str(),
-                               Normal->show().c_str());
-                     if (Normal->inferType())
-                       After = Normal;
-                   }
-                 }
-                 Entries[I].Program = After;
-                 if (Memo)
-                   Memo->emplace(Before, After);
-               }
-             }
-           }});
-    }
-    if (!scoreAndAdoptBest(Result, RoundCands, Params))
-      break;
+    return Candidates;
   }
-}
 
-/// The top-down backend's greedy rounds: corpus-guided proposal
-/// (vs/TopDown.cpp) feeding the identical scoring/adoption round. No
-/// version spaces are built; beams are rewritten by the extraction-cost
-/// DP over their syntax trees. The cross-round rewrite memo mirrors the
-/// version-space backend's, except it never needs invalidating: the DP
-/// has no inversion-depth dependence, so (anchor term, beam program)
-/// determines the rewritten entry outright.
-void runTopDownRounds(CompressionResult &Result,
-                      const CompressionParams &Params) {
-  std::unordered_map<ExprPtr, std::unordered_map<ExprPtr, ExprPtr>>
-      RewriteMemo;
+private:
+  VersionTable VT;
+  std::vector<std::vector<VsId>> Closures; ///< per frontier, per entry
+  std::vector<Extraction> Prewarmed;
+  VsParentIndex Parents;
+};
 
-  for (int Round = 0; Round < Params.MaxNewInventions; ++Round) {
-    obs::countAdd("compress.rounds");
-    int64_t ProposeStart =
-        obs::Telemetry::enabled() ? obs::Tracer::global().begin() : 0;
-    TopDownStats Stats;
-    std::vector<TopDownCandidate> Candidates = proposeTopDown(
-        Result.NewGrammar, Result.RewrittenFrontiers, Params, &Stats);
-    if (obs::Telemetry::enabled()) {
-      obs::Tracer::global().end("topdown.propose", ProposeStart);
-      obs::countAdd("topdown.subtree_sites", Stats.SubtreeSites);
-      obs::countAdd("topdown.states_expanded", Stats.StatesExpanded);
-      obs::countAdd("topdown.states_pruned", Stats.StatesPruned);
-      obs::countAdd("topdown.completions", Stats.Completions);
-      obs::countAdd("topdown.candidates_proposed",
-                    Stats.CandidatesProposed);
-      if (Stats.BudgetExhausted)
-        obs::countAdd("topdown.budget_exhausted");
-      obs::countAdd("compress.candidates_proposed",
-                    static_cast<long>(Candidates.size()));
-      for (const TopDownCandidate &C : Candidates)
-        obs::observe("compress.candidate_coverage", C.TasksCovered);
-    }
-    if (Params.Verbose)
-      std::fprintf(stderr,
-                   "compression round %d (top-down): %ld sites, "
-                   "%ld states, %zu candidates, baseline %.2f\n",
-                   Round, Stats.SubtreeSites, Stats.StatesExpanded,
-                   Candidates.size(), Result.FinalScore);
-    if (Candidates.empty())
-      break;
+/// The top-down proposal source (vs/TopDown.cpp): corpus-guided patterns
+/// over the beam syntax, no version spaces. Beams are rewritten by the
+/// extraction-cost DP over their syntax trees.
+std::vector<RoundCandidate> proposeTopDownRound(const CompressionResult &Result,
+                                                int Round,
+                                                const CompressionParams &Params) {
+  obs::ScopedSpan ProposeSpan("topdown.propose");
+  TopDownStats Stats;
+  std::vector<TopDownCandidate> Proposed = proposeTopDown(
+      Result.NewGrammar, Result.RewrittenFrontiers, Params, &Stats);
+  obs::countAdd("topdown.subtree_sites", Stats.SubtreeSites);
+  obs::countAdd("topdown.states_expanded", Stats.StatesExpanded);
+  obs::countAdd("topdown.states_pruned", Stats.StatesPruned);
+  obs::countAdd("topdown.completions", Stats.Completions);
+  obs::countAdd("topdown.candidates_proposed", Stats.CandidatesProposed);
+  if (Stats.BudgetExhausted)
+    obs::countAdd("topdown.budget_exhausted");
+  if (Params.Verbose)
+    std::fprintf(stderr,
+                 "compression round %d (top-down): %ld sites, "
+                 "%ld states, %zu candidates, baseline %.2f\n",
+                 Round, Stats.SubtreeSites, Stats.StatesExpanded,
+                 Proposed.size(), Result.FinalScore);
 
-    // Same per-candidate memo discipline as the version-space round:
-    // surviving candidates have distinct bodies, distinct bodies have
-    // distinct anchors, so the sub-maps are worker-exclusive.
-    std::vector<std::unordered_map<ExprPtr, ExprPtr> *> Memos(
-        Candidates.size(), nullptr);
-    if (Params.UseVsCache)
-      for (size_t CI = 0; CI < Candidates.size(); ++CI)
-        Memos[CI] = &RewriteMemo[Candidates[CI].AnchorTerm];
-#ifndef NDEBUG
-    {
-      std::set<const void *> Distinct(Memos.begin(), Memos.end());
-      assert((!Params.UseVsCache || Distinct.size() == Memos.size()) &&
-             "candidate anchors must be unique within a round");
-    }
-#endif
-    std::vector<RoundCandidate> RoundCands;
-    RoundCands.reserve(Candidates.size());
-    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-      const TopDownCandidate C = Candidates[CI];
-      std::unordered_map<ExprPtr, ExprPtr> *Memo = Memos[CI];
-      RoundCands.push_back(
-          {C.Invention, C.TasksCovered,
-           [C, Memo, &Params](std::vector<Frontier> &Rewritten,
-                              size_t RoundCI, std::string &Log) {
-             // Node-level DP memo, shared across the beams of this
-             // candidate (costs are depth-independent).
-             std::unordered_map<ExprPtr, TopDownRewrite> NodeMemo;
-             for (Frontier &F : Rewritten) {
-               auto &Entries = F.entries();
-               for (size_t I = 0; I < Entries.size(); ++I) {
-                 const ExprPtr Before = Entries[I].Program;
-                 if (Memo) {
-                   auto It = Memo->find(Before);
-                   if (It != Memo->end()) {
-                     Entries[I].Program = It->second;
-                     obs::countAdd("topdown.rewrite.hits");
-                     continue;
-                   }
-                   obs::countAdd("topdown.rewrite.misses");
-                 }
-                 // Identical post-processing to the version-space
-                 // rewrite: β-normalize the member, keep it only if it
-                 // stays typeable, fall back to the original otherwise.
-                 ExprPtr After = Before;
-                 TopDownRewrite R =
-                     topDownRewriteMember(Before, C, NodeMemo);
-                 if (R.Member) {
-                   ExprPtr Normal = R.Member->betaNormalForm(512);
-                   if (Normal) {
-                     if (Params.Verbose && Normal != Before && RoundCI < 3)
-                       appendf(Log, "    rewrite[%zu] %s => %s\n", RoundCI,
-                               Before->show().c_str(),
-                               Normal->show().c_str());
-                     if (Normal->inferType())
-                       After = Normal;
-                   }
-                 }
-                 Entries[I].Program = After;
-                 if (Memo)
-                   Memo->emplace(Before, After);
-               }
-             }
-           }});
-    }
-    if (!scoreAndAdoptBest(Result, RoundCands, Params))
-      break;
-  }
+  std::vector<RoundCandidate> Candidates;
+  Candidates.reserve(Proposed.size());
+  for (const TopDownCandidate &C : Proposed)
+    // The node-level DP memo is shared across the beams of one candidate
+    // (costs are depth-independent).
+    Candidates.push_back(
+        {C.AnchorTerm, C.Invention, C.TasksCovered,
+         [C, NodeMemo = std::unordered_map<ExprPtr, TopDownRewrite>()](
+             size_t, size_t, ExprPtr Program) mutable {
+           return topDownRewriteMember(Program, C, NodeMemo).Member;
+         }});
+  return Candidates;
 }
 
 } // namespace
@@ -857,10 +692,42 @@ dc::compressLibrary(const Grammar &G, const std::vector<Frontier> &Frontiers,
   obs::gaugeSet("compress.backend",
                 Params.Backend == CompressionBackend::TopDown ? 1 : 0);
 
-  if (Params.Backend == CompressionBackend::TopDown)
-    runTopDownRounds(Result, Params);
-  else
-    runVersionSpaceRounds(Result, Params);
+  // The shard cache and the rewrite memo share one switch: with
+  // UseVsCache off every pure value is recomputed from scratch, and the
+  // results are bit-identical either way (DESIGN.md §8).
+  RewriteMemo Memo;
+  RewriteMemo *MemoOrNull = Params.UseVsCache ? &Memo : nullptr;
+  bool TopDown = Params.Backend == CompressionBackend::TopDown;
+  for (int Round = 0; Round < Params.MaxNewInventions; ++Round) {
+    obs::countAdd("compress.rounds");
+    VersionSpaceRound VS;
+    if (!TopDown &&
+        !VS.buildClosures(Result.RewrittenFrontiers, Params)) {
+      // The closure overflowed MaxVersionNodes: the top-down source
+      // takes over for the rest of this sleep. Its rewrites of an anchor
+      // can differ from the version-space extraction's, so no memoized
+      // rewrite may cross the switch.
+      TopDown = true;
+      Memo.clear();
+      obs::countAdd("compress.topdown_fallbacks");
+      if (Params.Verbose)
+        std::fprintf(stderr,
+                     "compression: version table overflow at round %d; "
+                     "switching to top-down proposals\n",
+                     Round);
+    }
+    std::vector<RoundCandidate> Candidates =
+        TopDown ? proposeTopDownRound(Result, Round, Params)
+                : VS.propose(Result, Round, Params);
+    obs::countAdd("compress.candidates_proposed",
+                  static_cast<long>(Candidates.size()));
+    if (obs::Telemetry::enabled())
+      for (const RoundCandidate &C : Candidates)
+        obs::observe("compress.candidate_coverage", C.TasksCovered);
+    if (Candidates.empty() ||
+        !scoreAndAdoptBest(Result, Candidates, MemoOrNull, TopDown, Params))
+      break;
+  }
 
   obs::gaugeSet("compress.score_final", Result.FinalScore);
 

@@ -13,10 +13,12 @@
 ///            + log P[θ|D] − |θ|₀
 ///
 /// Candidate routines are proposed from the version spaces of all ≤n-step
-/// refactorings of the beam programs (vs/VersionSpace.h); each candidate is
-/// scored by rewriting every beam program to its minimal form under the
-/// extended library, refitting θ, and evaluating the objective. The best
-/// candidate is adopted greedily until no candidate improves the score.
+/// refactorings of the beam programs (vs/VersionSpace.h) — or, once those
+/// overflow MaxVersionNodes, by the top-down proposer (vs/TopDown.h); each
+/// candidate is scored by rewriting every beam program to its minimal form
+/// under the extended library, refitting θ, and evaluating the objective.
+/// The best candidate is adopted greedily until no candidate improves the
+/// score.
 ///
 /// Setting refactoring steps to 0 recovers the EC baseline (subtree
 /// proposals only); see WakeSleep's baseline modes.
@@ -41,8 +43,8 @@ namespace dc {
 ///
 ///  * VersionSpace — materialize the ≤n-step β-inversion closure of every
 ///    beam program (paper §4) and rank its nodes. Complete up to the
-///    inversion depth, but the closure is exactly what the
-///    MaxVersionNodes degrade ladder exists to contain.
+///    inversion depth. The first round whose closure overflows
+///    MaxVersionNodes hands the rest of the sleep to TopDown.
 ///  * TopDown — grow candidate patterns hole-by-hole over the beam syntax
 ///    (corpus-guided, à la "Top-Down Synthesis for Library Learning",
 ///    Bowers et al., POPL 2023), never building version spaces. Orders of
@@ -61,7 +63,8 @@ struct CompressionParams {
   int MaxNewInventions = 12;  ///< cap on routines added per sleep phase
   /// Candidates must occur in the refactorings of at least this many beams.
   int MinimumTasksCovered = 2;
-  /// Safety valve: skip version spaces larger than this many nodes.
+  /// Safety valve: a round whose version space would exceed this many
+  /// nodes switches the sleep to top-down proposals.
   size_t MaxVersionNodes = 4000000;
   /// Worker threads for the three compression fan-outs (per-program
   /// β-closure shards, candidate scoring, likelihood summaries): 0 = one
@@ -69,13 +72,10 @@ struct CompressionParams {
   /// bit-identical at every setting (see DESIGN.md, threading model).
   int NumThreads = 1;
   /// Master switch for the content-addressed closure-shard cache and the
-  /// cross-round rewrite memo (tools/dc_run --no-vs-cache). Both caches
-  /// only skip recomputing pure values, so results are bit-identical with
-  /// caching on or off — bench_vs_cache gates this at 1/4/8 threads.
+  /// cross-round rewrite memo. Both caches only skip recomputing pure
+  /// values, so results are bit-identical with caching on or off —
+  /// bench_vs_cache gates this at 1/4/8 threads.
   bool UseVsCache = true;
-  /// LRU node budget of the process-wide shard cache (total nodes across
-  /// cached shards; see VersionSpaceCache::DefaultNodeBudget).
-  size_t VsCacheNodeBudget = 16u * 1024 * 1024;
   /// TopDown backend only: cap on pattern states expanded per proposal
   /// round before the proposer stops refining (branch-and-bound still
   /// prunes below the cap). Literal-subtree candidates are enumerated

@@ -284,7 +284,9 @@ TEST_F(RecognitionTest, ConcurrentPredictBatchIsThreadSafe) {
   std::vector<ContextualGrammar> Serial = Model.predictBatch(Ptrs);
 
   constexpr int NumThreads = 8;
-  std::vector<bool> Matched(NumThreads, false);
+  // One byte per thread: std::vector<bool> packs the flags into shared
+  // words, which concurrent writers would race on.
+  std::vector<char> Matched(NumThreads, 0);
   std::vector<std::thread> Threads;
   for (int T = 0; T < NumThreads; ++T)
     Threads.emplace_back([&, T] {

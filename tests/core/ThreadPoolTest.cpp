@@ -16,11 +16,13 @@
 using namespace dc;
 
 TEST(ThreadPoolTest, SubmittedJobsAllRun) {
-  ThreadPool Pool(3);
-  EXPECT_EQ(Pool.workerCount(), 3u);
   std::atomic<int> Ran{0};
   std::mutex M;
   std::condition_variable Cv;
+  // Declared after M and Cv so it is destroyed — its workers joined —
+  // first: the last job may still be notifying when the wait returns.
+  ThreadPool Pool(3);
+  EXPECT_EQ(Pool.workerCount(), 3u);
   constexpr int Jobs = 100;
   for (int I = 0; I < Jobs; ++I)
     Pool.submit([&] {

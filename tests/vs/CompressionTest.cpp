@@ -4,6 +4,7 @@
 
 #include "core/Primitives.h"
 #include "core/ProgramParser.h"
+#include "obs/Metrics.h"
 #include "vs/VersionSpaceCache.h"
 
 #include <gtest/gtest.h>
@@ -360,43 +361,43 @@ TEST_F(CompressionTest, CloseOverFreeIndicesRejectsIncompleteSets) {
 }
 
 TEST_F(CompressionTest, OverflowDegradeNeverLeaksPartialClosures) {
-  // Regression: when even the shallowest inversion depth overflows the
-  // node cap, the old loop could exit with partially built closures whose
-  // short rows were then indexed out of bounds by candidate scoring. The
-  // hardened loop abandons the round, so compression degrades to a clean
-  // pass-through: same grammar, same beams, no inventions.
+  // A cap small enough that round 0's closure overflows hands the whole
+  // sleep to the top-down proposer. The version-space backend must then
+  // return exactly the TopDown backend's result — inventions, weights,
+  // rewritten frontiers, scores — so no partially built closure and no
+  // memoized version-space rewrite survives the switch, at every thread
+  // count, memo on and off.
   std::vector<Frontier> Fs = idiomCorpus();
+  obs::TelemetryScope On(true);
+  obs::Counter &Fallbacks =
+      obs::MetricsRegistry::global().counter("compress.topdown_fallbacks");
   for (size_t Cap : {size_t(1), size_t(8)}) {
-    SCOPED_TRACE("cap=" + std::to_string(Cap));
     for (int Steps : {0, 3}) {
+      const std::string At =
+          "cap=" + std::to_string(Cap) + " n=" + std::to_string(Steps);
       CompressionParams Params;
+      Params.StructurePenalty = 0.5;
       Params.RefactorSteps = Steps;
       Params.MaxVersionNodes = Cap;
-      CompressionResult R = compressLibrary(G, Fs, Params);
-      EXPECT_TRUE(R.NewInventions.empty());
-      ASSERT_EQ(R.RewrittenFrontiers.size(), Fs.size());
-      for (size_t X = 0; X < Fs.size(); ++X) {
-        ASSERT_EQ(R.RewrittenFrontiers[X].entries().size(),
-                  Fs[X].entries().size());
-        for (size_t I = 0; I < Fs[X].entries().size(); ++I)
-          EXPECT_EQ(R.RewrittenFrontiers[X].entries()[I].Program,
-                    Fs[X].entries()[I].Program);
-      }
+      Params.Backend = CompressionBackend::TopDown;
+      CompressionResult TopDown = compressLibrary(G, Fs, Params);
+      ASSERT_FALSE(TopDown.NewInventions.empty()) << At;
+
+      Params.Backend = CompressionBackend::VersionSpace;
+      for (int Threads : {1, 4, 8})
+        for (bool Memo : {true, false}) {
+          Params.NumThreads = Threads;
+          Params.UseVsCache = Memo;
+          VersionSpaceCache::global().clear();
+          const long Before = Fallbacks.value();
+          expectIdenticalResults(TopDown, compressLibrary(G, Fs, Params),
+                                 At + " threads=" + std::to_string(Threads) +
+                                     (Memo ? " memo on" : " memo off"));
+          if (DC_TELEMETRY) {
+            EXPECT_EQ(Fallbacks.value() - Before, 1) << At;
+          }
+        }
     }
-  }
-  // Caps large enough for shallow inversion depths but (possibly) not
-  // n=3 exercise the degrade ladder's surviving levels: closures must
-  // still be complete (the in-loop assert) and the result well formed.
-  for (size_t Cap : {size_t(40), size_t(3000)}) {
-    SCOPED_TRACE("degrade cap=" + std::to_string(Cap));
-    CompressionParams Params;
-    Params.StructurePenalty = 0.5;
-    Params.MaxVersionNodes = Cap;
-    CompressionResult R = compressLibrary(G, Fs, Params);
-    ASSERT_EQ(R.RewrittenFrontiers.size(), Fs.size());
-    for (size_t X = 0; X < Fs.size(); ++X)
-      ASSERT_EQ(R.RewrittenFrontiers[X].entries().size(),
-                Fs[X].entries().size());
   }
 }
 

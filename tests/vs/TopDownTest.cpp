@@ -5,8 +5,9 @@
 // top-down backend's adopted library, rewritten frontiers, refit weights,
 // and scores must be bit-identical to the version-space backend's — at
 // 1, 4, and 8 threads, with the caches on or off. On an overflow-shaped
-// corpus (the MaxVersionNodes degrade ladder gives up), top-down must
-// still propose and adopt the planted abstraction.
+// corpus (no closure fits MaxVersionNodes), top-down must still propose
+// and adopt the planted abstraction, and the version-space backend must
+// fall back to it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -415,10 +416,11 @@ TEST_F(TopDownTest, DifferentialHoldsWithRewriteMemoOff) {
 }
 
 TEST_F(TopDownTest, OverflowCorpusStillYieldsThePlantedAbstraction) {
-  // An overflow-shaped corpus: MaxVersionNodes so small that the
-  // version-space degrade ladder gives up at every depth and adopts
-  // nothing. The top-down backend never builds version spaces, so the
-  // same parameters must still surface the planted idiom.
+  // An overflow-shaped corpus: MaxVersionNodes so small that no
+  // version-space closure fits. The top-down backend never builds version
+  // spaces, so it must still surface the planted idiom — and the
+  // version-space backend, whose first round overflows, must hand the
+  // sleep to top-down and land on the identical result.
   TypePtr Req = Type::arrow(tList(tInt()), tList(tInt()));
   std::vector<Frontier> Fs = {
       solvedFrontier("double", "(lambda (map (lambda (+ $0 $0)) $0))", Req),
@@ -433,11 +435,6 @@ TEST_F(TopDownTest, OverflowCorpusStillYieldsThePlantedAbstraction) {
   Params.StructurePenalty = 0.5;
   Params.MaxVersionNodes = 8; // even one-step closures overflow
 
-  Params.Backend = CompressionBackend::VersionSpace;
-  CompressionResult VS = compressLibrary(G, Fs, Params);
-  EXPECT_TRUE(VS.NewInventions.empty())
-      << "fixture must actually trigger the give-up path";
-
   Params.Backend = CompressionBackend::TopDown;
   CompressionResult TD = compressLibrary(G, Fs, Params);
   ASSERT_FALSE(TD.NewInventions.empty());
@@ -450,6 +447,10 @@ TEST_F(TopDownTest, OverflowCorpusStillYieldsThePlantedAbstraction) {
               Inv->show().find("(+ $0 $0)") != std::string::npos;
   EXPECT_TRUE(Planted) << TD.NewInventions.front()->show();
   EXPECT_GT(TD.FinalScore, TD.InitialScore);
+
+  Params.Backend = CompressionBackend::VersionSpace;
+  expectIdenticalResults(TD, compressLibrary(G, Fs, Params),
+                         "version-space backend after overflow");
 }
 
 TEST_F(TopDownTest, TopDownRewritesPreserveSemantics) {

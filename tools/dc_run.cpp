@@ -44,8 +44,7 @@ void usage(const char *Argv0) {
       "          [--minibatch N] [--seed N] [--node-budget N]\n"
       "          [--threads N] [--wake-timeout SEC] [--checkpoint PATH]\n"
       "          [--resume PATH] [--metrics-out PATH] [--trace-out PATH]\n"
-      "          [--compression-backend vs|topdown] [--no-vs-cache]\n"
-      "          [--verbose]\n"
+      "          [--compression-backend vs|topdown] [--verbose]\n"
       "--threads: 0 = one per core (default), 1 = serial, N = at most N;\n"
       "           covers wake search, compression sleep, and dreaming —\n"
       "           results are identical at every setting\n"
@@ -61,9 +60,6 @@ void usage(const char *Argv0) {
       "               hole-by-hole — much cheaper on closure-heavy\n"
       "               corpora, same scoring and adoption machinery\n"
       "               (DESIGN.md §10)\n"
-      "--no-vs-cache: disable the version-space shard cache and rewrite\n"
-      "               memo in abstraction sleep (escape hatch; results are\n"
-      "               bit-identical either way, only wall-clock changes)\n"
       "--metrics-out: write counters/gauges/histograms as JSON after the\n"
       "               run (enables telemetry; results are unchanged)\n"
       "--trace-out:   write chrome://tracing trace-event JSON (load via\n"
@@ -182,9 +178,7 @@ int main(int Argc, char **Argv) {
         usage(Argv[0]);
         return 2;
       }
-    } else if (!std::strcmp(Argv[I], "--no-vs-cache"))
-      Config.Compress.UseVsCache = false;
-    else if (!std::strcmp(Argv[I], "--verbose"))
+    } else if (!std::strcmp(Argv[I], "--verbose"))
       Config.Verbose = true;
     else {
       usage(Argv[0]);
@@ -280,26 +274,6 @@ int main(int Argc, char **Argv) {
                  Reg.counterCount(), Reg.gaugeCount(),
                  Reg.histogramCount(), obs::Tracer::global().eventCount(),
                  Reg.counter("wake.nodes_expanded").value());
-    double DreamSeconds = 0;
-    for (const CycleMetrics &M : R.Cycles)
-      DreamSeconds += Reg.gauge("wakesleep.cycle." +
-                                std::to_string(M.Cycle) +
-                                ".dreaming_seconds")
-                          .value();
-    long GradBusy = Reg.counter("recognition.grad_busy_micros").value();
-    long GradWall = Reg.counter("recognition.grad_wall_micros").value();
-    double GradThreads = Reg.gauge("recognition.threads").value();
-    std::fprintf(stderr,
-                 "telemetry: dream phase %.2fs wall; recognition "
-                 "gradient workers busy %.2fs over %.2fs parallel wall",
-                 DreamSeconds, static_cast<double>(GradBusy) / 1e6,
-                 static_cast<double>(GradWall) / 1e6);
-    if (GradWall > 0 && GradThreads > 0)
-      std::fprintf(stderr, " (%.0f%% utilization at %.0f threads)",
-                   100.0 * static_cast<double>(GradBusy) /
-                       (static_cast<double>(GradWall) * GradThreads),
-                   GradThreads);
-    std::fprintf(stderr, "\n");
   }
   if (!MetricsPath.empty()) {
     std::ofstream Out(MetricsPath);
