@@ -2,116 +2,63 @@
 
 #include "core/Program.h"
 
+#include "core/InternTable.h"
+
 #include <algorithm>
 #include <array>
-#include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace dc;
 
-namespace {
-
-/// Combines hashes in the boost::hash_combine style.
-size_t hashCombine(size_t Seed, size_t V) {
-  return Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
-}
-
-/// Structural interning key. Primitive identity is (name, canonical type
-/// string) so two registrations of the same primitive intern to one node.
-struct ExprKey {
-  ExprKind Kind;
-  int Index;
-  std::string Name;
-  const Expr *A;
-  const Expr *B;
-
-  bool operator==(const ExprKey &O) const {
-    return Kind == O.Kind && Index == O.Index && Name == O.Name &&
-           A == O.A && B == O.B;
-  }
-};
-
-struct ExprKeyHash {
-  size_t operator()(const ExprKey &K) const {
-    size_t H = std::hash<int>()(static_cast<int>(K.Kind));
-    H = hashCombine(H, std::hash<int>()(K.Index));
-    H = hashCombine(H, std::hash<std::string>()(K.Name));
-    H = hashCombine(H, std::hash<const void *>()(K.A));
-    H = hashCombine(H, std::hash<const void *>()(K.B));
-    return H;
-  }
-};
-
-/// Global arena owning every Expr ever created. Programs live for the whole
-/// process; that is the standard hash-consing trade-off and it keeps
-/// ExprPtr trivially copyable.
-///
-/// The intern table is sharded by key hash, each shard behind its own
-/// mutex: parallel wake-phase enumeration interns nodes from many worker
-/// threads at once, and a single table lock would serialize the hottest
-/// allocation path in the system. Nodes are immutable after construction
-/// and published under the shard lock, so readers on other threads always
-/// observe fully-built nodes.
-class ExprArenaImpl {
-public:
-  static ExprArenaImpl &get() {
-    static ExprArenaImpl *Singleton = new ExprArenaImpl();
-    return *Singleton;
-  }
-
-  ExprPtr intern(ExprKey Key, const TypePtr &DeclType);
-
-private:
-  static constexpr size_t NumShards = 64;
-  struct Shard {
-    std::mutex Mutex;
-    std::unordered_map<ExprKey, ExprPtr, ExprKeyHash> Interned;
-  };
-  Shard Shards[NumShards];
-};
-
-} // namespace
-
-// The friend declared in the header; it has access to Expr's private fields
-// and performs the actual node construction on behalf of the interner.
 namespace dc {
+/// The friend declared in the header: the process-wide table of every Expr,
+/// which lives as long as the process, so ExprPtr is a plain pointer. It is
+/// sharded (core/InternTable.h) because wake-phase enumeration interns from
+/// many threads at once. A probe compares the stored nodes' own fields, so
+/// a hit copies no name; nodes are published fully built under the lock.
 class ExprArena {
 public:
-  static Expr *create(ExprKind Kind, int Index, std::string Name,
-                      TypePtr DeclType, ExprPtr A, ExprPtr B, size_t Hash) {
-    auto *Node = new Expr();
-    Node->TheKind = Kind;
-    Node->IndexVal = Index;
-    Node->Name = std::move(Name);
-    Node->DeclType = std::move(DeclType);
-    Node->Body =
-        (Kind == ExprKind::Invented || Kind == ExprKind::Abstraction) ? A
-                                                                      : nullptr;
-    Node->Fn = Kind == ExprKind::Application ? A : nullptr;
-    Node->Arg = Kind == ExprKind::Application ? B : nullptr;
-    Node->HashVal = Hash;
-    return Node;
+  /// \p A is the body of an invention or abstraction, or the function of
+  /// an application whose argument is \p B. A primitive's identity is its
+  /// name: registering a name twice returns the first node and its type.
+  static ExprPtr intern(ExprKind Kind, ExprPtr A, ExprPtr B = nullptr,
+                        int Index = 0, const std::string &Name = {},
+                        const TypePtr &DeclType = nullptr) {
+    const bool IsApp = Kind == ExprKind::Application;
+    uint64_t H =
+        static_cast<uint64_t>(Kind) << 32 | static_cast<uint32_t>(Index);
+    if (!Name.empty())
+      H = H * 0x100000001b3ULL ^ std::hash<std::string>()(Name);
+    H = H * 0xbf58476d1ce4e5b9ULL ^ reinterpret_cast<uintptr_t>(A);
+    H = H * 0x94d049bb133111ebULL ^ reinterpret_cast<uintptr_t>(B);
+    const size_t Hash = internMix(H);
+    return table().findOrInsert(
+        Hash,
+        [&](ExprPtr E) {
+          return E->HashVal == Hash && E->TheKind == Kind &&
+                 E->IndexVal == Index && (IsApp ? E->Fn : E->Body) == A &&
+                 E->Arg == B && E->Name == Name;
+        },
+        [&] {
+          auto *Node = new Expr();
+          Node->TheKind = Kind;
+          Node->IndexVal = Index;
+          Node->Name = Name;
+          Node->DeclType = DeclType;
+          (IsApp ? Node->Fn : Node->Body) = A;
+          Node->Arg = B;
+          Node->HashVal = Hash;
+          return Node;
+        },
+        [](ExprPtr E) { return E->HashVal; });
+  }
+
+  static ShardedInternTable<ExprPtr> &table() {
+    static auto *Table = new ShardedInternTable<ExprPtr>();
+    return *Table;
   }
 };
 } // namespace dc
-
-namespace {
-
-ExprPtr ExprArenaImpl::intern(ExprKey Key, const TypePtr &DeclType) {
-  size_t Hash = ExprKeyHash()(Key);
-  Shard &S = Shards[Hash % NumShards];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Interned.find(Key);
-  if (It != S.Interned.end())
-    return It->second;
-  ExprPtr Node = dc::ExprArena::create(Key.Kind, Key.Index, Key.Name,
-                                       DeclType, Key.A, Key.B, Hash);
-  S.Interned.emplace(std::move(Key), Node);
-  return Node;
-}
-
-} // namespace
 
 ExprPtr Expr::index(int I) {
   assert(I >= 0 && "negative de Bruijn index");
@@ -119,8 +66,7 @@ ExprPtr Expr::index(int I) {
   // the small indices are interned once and then read without a lock.
   constexpr int NumCached = 64;
   auto Intern = [](int J) {
-    return ExprArenaImpl::get().intern(
-        ExprKey{ExprKind::Index, J, "", nullptr, nullptr}, nullptr);
+    return ExprArena::intern(ExprKind::Index, nullptr, nullptr, J);
   };
   static const std::array<ExprPtr, NumCached> Cached = [&] {
     std::array<ExprPtr, NumCached> Out;
@@ -133,29 +79,28 @@ ExprPtr Expr::index(int I) {
 
 ExprPtr Expr::primitive(const std::string &Name, const TypePtr &Ty) {
   assert(Ty && "primitive requires a type");
-  ExprKey K{ExprKind::Primitive, 0, Name, nullptr, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K), Ty);
+  return ExprArena::intern(ExprKind::Primitive, nullptr, nullptr, 0, Name, Ty);
 }
 
 ExprPtr Expr::invented(ExprPtr Body) {
   assert(Body && "invention requires a body");
-  ExprKey K{ExprKind::Invented, 0, "", Body, nullptr};
   TypePtr Ty = Body->inferType();
   assert(Ty && "invention body must be well typed");
-  return ExprArenaImpl::get().intern(std::move(K), canonicalize(Ty));
+  return ExprArena::intern(ExprKind::Invented, Body, nullptr, 0, {},
+                           canonicalize(Ty));
 }
 
 ExprPtr Expr::abstraction(ExprPtr Body) {
   assert(Body && "abstraction requires a body");
-  ExprKey K{ExprKind::Abstraction, 0, "", Body, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K), nullptr);
+  return ExprArena::intern(ExprKind::Abstraction, Body);
 }
 
 ExprPtr Expr::application(ExprPtr Fn, ExprPtr Arg) {
   assert(Fn && Arg && "application requires both sides");
-  ExprKey K{ExprKind::Application, 0, "", Fn, Arg};
-  return ExprArenaImpl::get().intern(std::move(K), nullptr);
+  return ExprArena::intern(ExprKind::Application, Fn, Arg);
 }
+
+size_t Expr::internedCount() { return ExprArena::table().size(); }
 
 ExprPtr Expr::applications(ExprPtr Fn, const std::vector<ExprPtr> &Args) {
   ExprPtr Out = Fn;
@@ -449,13 +394,9 @@ int dc::exprCompare(ExprPtr A, ExprPtr B) {
   switch (A->kind()) {
   case ExprKind::Index:
     return A->index() < B->index() ? -1 : 1; // equal indices are interned
-  case ExprKind::Primitive: {
-    if (int C = A->name().compare(B->name()))
-      return C < 0 ? -1 : 1;
-    // Same name, different interned node: distinct declared types. Types
-    // are canonical, so their rendering is a content-stable key.
-    return A->declaredType()->show() < B->declaredType()->show() ? -1 : 1;
-  }
+  case ExprKind::Primitive:
+    // A primitive is interned by name, so distinct nodes differ in name.
+    return A->name() < B->name() ? -1 : 1;
   case ExprKind::Invented:
   case ExprKind::Abstraction:
     return exprCompare(A->body(), B->body());

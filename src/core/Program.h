@@ -111,6 +111,9 @@ public:
   /// Curried application of \p Fn to each of \p Args in order.
   static ExprPtr applications(ExprPtr Fn, const std::vector<ExprPtr> &Args);
 
+  /// Number of distinct Expr nodes interned so far (process-wide).
+  static size_t internedCount();
+
   //===--------------------------------------------------------------------===//
   // Queries and transformations
   //===--------------------------------------------------------------------===//

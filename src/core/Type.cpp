@@ -2,6 +2,8 @@
 
 #include "core/Type.h"
 
+#include "core/InternTable.h"
+
 #include <algorithm>
 #include <atomic>
 #include <deque>
@@ -12,7 +14,7 @@ namespace dc {
 
 /// The process-wide hash-consing table. Nodes are never freed: a type
 /// lives as long as the process, so handles are plain pointers. Sharded
-/// by hash so concurrent inference (compression workers) rarely contends.
+/// by hash (core/InternTable.h) so concurrent inference rarely contends.
 class TypeTable {
 public:
   static TypeTable &get() {
@@ -58,29 +60,14 @@ public:
     return It->second;
   }
 
-  size_t size() {
-    size_t N = 0;
-    for (Shard &S : Shards) {
-      std::lock_guard<std::mutex> Lock(S.Mutex);
-      N += S.Count;
-    }
-    return N;
-  }
+  size_t size() { return Interned.size(); }
 
 private:
-  static constexpr int NumShards = 16;
   static constexpr int NumCachedVariables = 256;
   static constexpr int NumBuiltinNames = 6;
   /// Indexed by the fixed ids of Type::ArrowId and friends.
   static constexpr const char *BuiltinNames[NumBuiltinNames] = {
       "->", "int", "real", "bool", "char", "list"};
-
-  /// Open-addressing set of nodes probed by content, at most half full.
-  struct Shard {
-    std::mutex Mutex;
-    std::vector<Type *> Slots = std::vector<Type *>(64, nullptr);
-    size_t Count = 0;
-  };
 
   TypeTable() {
     for (const char *Name : BuiltinNames) {
@@ -89,66 +76,39 @@ private:
     }
   }
 
-  static size_t hashOf(Type::Kind K, int VarId, int Con,
-                       const std::vector<TypePtr> &Args) {
+  /// A variable is interned with Con = -1 and no arguments, a
+  /// constructor with VarId = 0, so one predicate compares both kinds.
+  TypePtr intern(Type::Kind K, int VarId, int Con,
+                 const std::vector<TypePtr> &Args) {
     size_t H = K == Type::Kind::Variable
                    ? 0x9e3779b97f4a7c15ULL ^ static_cast<size_t>(VarId)
                    : static_cast<size_t>(Con) * 0x100000001b3ULL;
     for (TypePtr A : Args)
       H = (H ^ A->Hash) * 0xbf58476d1ce4e5b9ULL + 0x632be59bd9b4e019ULL;
-    return H ^ (H >> 29);
-  }
-
-  static bool sameNode(const Type *T, Type::Kind K, int VarId, int Con,
-                       const std::vector<TypePtr> &Args) {
-    if (T->TheKind != K)
-      return false;
-    if (K == Type::Kind::Variable)
-      return T->VarId == VarId;
-    return T->Con == Con && T->Args == Args;
-  }
-
-  TypePtr intern(Type::Kind K, int VarId, int Con,
-                 const std::vector<TypePtr> &Args) {
-    size_t H = hashOf(K, VarId, Con, Args);
-    Shard &S = Shards[H % NumShards];
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    size_t Mask = S.Slots.size() - 1;
-    size_t I = (H / NumShards) & Mask;
-    for (; S.Slots[I]; I = (I + 1) & Mask)
-      if (S.Slots[I]->Hash == H && sameNode(S.Slots[I], K, VarId, Con, Args))
-        return S.Slots[I];
-
-    Type *T = new Type();
-    T->TheKind = K;
-    T->VarId = VarId;
-    T->Con = Con;
-    T->Hash = H;
-    if (K == Type::Kind::Variable) {
-      T->VarBound = VarId + 1;
-    } else {
-      T->Name = &nameOf(Con);
-      T->Args = Args;
-      for (TypePtr A : Args)
-        T->VarBound = std::max(T->VarBound, A->VarBound);
-    }
-    S.Slots[I] = T;
-    if (++S.Count * 2 > S.Slots.size())
-      grow(S);
-    return T;
-  }
-
-  static void grow(Shard &S) {
-    std::vector<Type *> Old(S.Slots.size() * 2, nullptr);
-    Old.swap(S.Slots);
-    size_t Mask = S.Slots.size() - 1;
-    for (Type *T : Old)
-      if (T) {
-        size_t I = (T->Hash / NumShards) & Mask;
-        while (S.Slots[I])
-          I = (I + 1) & Mask;
-        S.Slots[I] = T;
-      }
+    H = internMix(H);
+    return Interned.findOrInsert(
+        H,
+        [&](TypePtr T) {
+          return T->Hash == H && T->TheKind == K && T->VarId == VarId &&
+                 T->Con == Con && T->Args == Args;
+        },
+        [&] {
+          Type *T = new Type();
+          T->TheKind = K;
+          T->VarId = VarId;
+          T->Con = Con;
+          T->Hash = H;
+          if (K == Type::Kind::Variable) {
+            T->VarBound = VarId + 1;
+          } else {
+            T->Name = &nameOf(Con);
+            T->Args = Args;
+            for (TypePtr A : Args)
+              T->VarBound = std::max(T->VarBound, A->VarBound);
+          }
+          return T;
+        },
+        [](TypePtr T) { return T->Hash; });
   }
 
   const std::string &nameOf(int Con) {
@@ -156,7 +116,7 @@ private:
     return Names[Con];
   }
 
-  Shard Shards[NumShards];
+  ShardedInternTable<TypePtr> Interned;
   std::atomic<TypePtr> CachedVariables[NumCachedVariables] = {};
   std::mutex NamesMutex;
   /// A deque keeps every name at a stable address for Type::Name.

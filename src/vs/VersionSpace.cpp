@@ -117,28 +117,27 @@ dc::Extraction extractNode(const dc::VsNode &N, ChildFn &&Child) {
 }
 } // namespace
 
-VersionTable::VersionTable() : Slots(64, -1) {
+VersionTable::VersionTable() {
   Nodes.push_back({VsKind::Void, 0, nullptr, -1, -1, -1, {}});
   Nodes.push_back({VsKind::Universe, 0, nullptr, -1, -1, -1, {}});
-  VoidId = 0;
-  UniverseId = 1;
+  Hashes.assign(2, 0);
 }
 
 size_t VersionTable::hashNode(const VsNode &N) {
   const uint64_t Kind = static_cast<uint64_t>(N.Kind) << 32;
   switch (N.Kind) {
   case VsKind::Index:
-    return KeyHash::mix(Kind ^ static_cast<uint32_t>(N.Index));
+    return internMix(Kind ^ static_cast<uint32_t>(N.Index));
   case VsKind::Terminal:
-    return KeyHash::mix(Kind ^ KeyHash()(N.Leaf));
+    return internMix(Kind ^ KeyHash()(N.Leaf));
   case VsKind::Abstraction:
-    return KeyHash::mix(Kind ^ static_cast<uint32_t>(N.Body));
+    return internMix(Kind ^ static_cast<uint32_t>(N.Body));
   case VsKind::Application:
-    return KeyHash::mix(Kind ^ KeyHash()(std::make_pair(N.Fn, N.Arg)));
+    return internMix(Kind ^ KeyHash()(std::make_pair(N.Fn, N.Arg)));
   case VsKind::Union: {
     uint64_t H = Kind;
     for (VsId M : N.Members)
-      H = KeyHash::mix(H ^ static_cast<uint32_t>(M));
+      H = internMix(H ^ static_cast<uint32_t>(M));
     return static_cast<size_t>(H);
   }
   default:
@@ -147,29 +146,15 @@ size_t VersionTable::hashNode(const VsNode &N) {
 }
 
 VsId VersionTable::intern(VsNode N) {
-  const size_t Mask = Slots.size() - 1;
-  size_t I = hashNode(N) & Mask;
-  for (; Slots[I] >= 0; I = (I + 1) & Mask)
-    if (sameNode(Nodes[Slots[I]], N))
-      return Slots[I];
-  Nodes.push_back(std::move(N));
-  VsId V = static_cast<VsId>(Nodes.size()) - 1;
-  Slots[I] = V;
-  if (2 * Nodes.size() > Slots.size())
-    growSlots();
-  return V;
-}
-
-void VersionTable::growSlots() {
-  std::vector<VsId> Grown(2 * Slots.size(), -1);
-  const size_t Mask = Grown.size() - 1;
-  for (size_t V = 2; V < Nodes.size(); ++V) {
-    size_t I = hashNode(Nodes[V]) & Mask;
-    while (Grown[I] >= 0)
-      I = (I + 1) & Mask;
-    Grown[I] = static_cast<VsId>(V);
-  }
-  Slots.swap(Grown);
+  const auto H = static_cast<uint32_t>(hashNode(N));
+  return Slots.findOrInsert(
+      H, [&](VsId V) { return Hashes[V] == H && sameNode(Nodes[V], N); },
+      [&] {
+        Nodes.push_back(std::move(N));
+        Hashes.push_back(H);
+        return static_cast<VsId>(Nodes.size()) - 1;
+      },
+      [&](VsId V) { return Hashes[V]; });
 }
 
 VsId VersionTable::index(int I) {

@@ -23,6 +23,7 @@
 #ifndef DC_VS_VERSIONSPACE_H
 #define DC_VS_VERSIONSPACE_H
 
+#include "core/InternTable.h"
 #include "core/Program.h"
 
 #include <cstdint>
@@ -224,37 +225,33 @@ private:
   /// Hash for the hash-consing slots and the operator-memo keys below.
   /// Neither is ever iterated, so hash order cannot reach node ids.
   struct KeyHash {
-    static size_t mix(uint64_t X) {
-      X ^= X >> 33;
-      X *= 0xff51afd7ed558ccdULL;
-      X ^= X >> 33;
-      X *= 0xc4ceb9fe1a85ec53ULL;
-      X ^= X >> 33;
-      return static_cast<size_t>(X);
+    size_t operator()(int K) const {
+      return internMix(static_cast<uint32_t>(K));
     }
-    size_t operator()(int K) const { return mix(static_cast<uint32_t>(K)); }
     size_t operator()(ExprPtr E) const {
-      return mix(reinterpret_cast<uintptr_t>(E));
+      return internMix(reinterpret_cast<uintptr_t>(E));
     }
     size_t operator()(const std::pair<int, int> &K) const {
-      return mix(static_cast<uint64_t>(static_cast<uint32_t>(K.first)) << 32 |
-                 static_cast<uint32_t>(K.second));
+      return internMix(
+          static_cast<uint64_t>(static_cast<uint32_t>(K.first)) << 32 |
+          static_cast<uint32_t>(K.second));
     }
     size_t operator()(const std::tuple<int, int, int> &K) const {
-      return mix((*this)(std::make_pair(std::get<0>(K), std::get<1>(K))) ^
-                 static_cast<uint32_t>(std::get<2>(K)));
+      return internMix(
+          (*this)(std::make_pair(std::get<0>(K), std::get<1>(K))) ^
+          static_cast<uint32_t>(std::get<2>(K)));
     }
   };
   template <typename K, typename V>
   using HashMap = std::unordered_map<K, V, KeyHash>;
 
-  /// Hash-consing index over every node but ∅ and Λ: an open-addressing
-  /// table of node ids, probed by node content (linear probing,
-  /// power-of-two size, at most half full, -1 = empty slot). A lookup
-  /// touches the slot array and the nodes it compares, nothing else.
-  std::vector<VsId> Slots;
+  /// Hash-consing index of every node but ∅ and Λ, probed by node content
+  /// (core/InternTable.h). The table has one owner, so it takes no lock.
+  /// Hashes[V] is node V's hash: a probe compares it before touching the
+  /// node, and growth re-inserts from it without rehashing any node.
+  InternSlots<VsId, -1> Slots;
+  std::vector<uint32_t> Hashes;
   static size_t hashNode(const VsNode &N);
-  void growSlots();
 
   // Operator memos. SubstitutionMemo's values are iterated in key order
   // by inversion(), so they stay ordered maps.

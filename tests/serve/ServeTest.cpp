@@ -604,10 +604,12 @@ TEST(ServeServiceTest, SolvesIdentityInline) {
   EXPECT_GT(O.NodesExpanded, 0);
 }
 
-TEST(ServeServiceTest, RepeatedSolvesDoNotGrowTheTypeTable) {
-  // Search mints no type nodes: after the first solve of each request has
-  // interned what it parses and declares, the table stays flat, so a
-  // long-lived server's type memory does not creep with traffic.
+TEST(ServeServiceTest, RepeatedSolvesDoNotGrowTheInternTables) {
+  // Search mints no type nodes, and the partial programs it interns are
+  // the same ones on every repeat: after the first solve of each request
+  // has interned what it parses, declares and visits, both tables stay
+  // flat, so a long-lived server's memory does not creep with repeated
+  // traffic. (A new request does grow the Expr table.)
   std::unique_ptr<Service> S = makeListService();
   ASSERT_TRUE(S);
   auto SolveAll = [&] {
@@ -617,10 +619,12 @@ TEST(ServeServiceTest, RepeatedSolvesDoNotGrowTheTypeTable) {
       S->solve(S->domain().TrainTasks[I], 60.0, /*NodeBudget=*/20000, 0);
   };
   SolveAll();
-  const size_t After = Type::internedCount();
+  const size_t Types = Type::internedCount();
+  const size_t Exprs = Expr::internedCount();
   for (int Round = 0; Round < 3; ++Round)
     SolveAll();
-  EXPECT_EQ(Type::internedCount(), After);
+  EXPECT_EQ(Type::internedCount(), Types);
+  EXPECT_EQ(Expr::internedCount(), Exprs);
 }
 
 TEST(ServeServiceTest, ExpiredDeadlineShortCircuits) {
@@ -790,6 +794,26 @@ TEST(ServeRegistryTest, ReloadSwapsEpochAndFailureKeepsOldOne) {
   EXPECT_EQ(OnOld.Beam.best()->Program->show(), "(lambda $0)");
   EXPECT_NE(beamSignature(OnOld.Beam), beamSignature(OnNew.Beam))
       << "shifted weights must change the scored beam";
+}
+
+TEST(ServeRegistryTest, IdenticalReloadsDoNotGrowTheInternTables) {
+  // Loading a checkpoint parses its grammar, interning its primitives and
+  // types. Reloading the same file finds every node again, so repeated
+  // reloads of one library generation leave both tables flat.
+  ServiceRegistry Reg;
+  ServiceRegistry::Snapshot Old = Reg.install(makeListService());
+  ASSERT_TRUE(Old);
+  ServiceConfig Config = Old->config();
+  Config.CheckpointPath = writeShiftedListCheckpoint("reg_same_reload.ckpt");
+  std::string Err;
+  ASSERT_TRUE(Reg.reload("list", Config, &Err)) << Err;
+  const size_t Types = Type::internedCount();
+  const size_t Exprs = Expr::internedCount();
+  for (int Round = 0; Round < 3; ++Round)
+    ASSERT_TRUE(Reg.reload("list", Config, &Err)) << Err;
+  EXPECT_EQ(Reg.lookup("list")->epoch(), 5u);
+  EXPECT_EQ(Type::internedCount(), Types);
+  EXPECT_EQ(Expr::internedCount(), Exprs);
 }
 
 TEST(ServeProtocolTest, ReloadParamsParse) {

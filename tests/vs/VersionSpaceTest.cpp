@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 using namespace dc;
 
 namespace {
@@ -299,4 +302,66 @@ TEST_F(VersionSpaceTest, Fig2CompressionRatio) {
   double Refactorings = VT.extensionSize(Closure, 1e18);
   EXPECT_GT(Refactorings, static_cast<double>(GraphNodes) * 10)
       << "the version space must be a compressed representation";
+}
+
+TEST_F(VersionSpaceTest, NodeIdsMatchGolden) {
+  // Pins node identity and id assignment: an FNV-1a digest over every
+  // node of the n=3 closures of the list programs, as (id, kind, child
+  // ids, leaf). Ids are assigned in intern order, so a change to the
+  // hash-consing table that merged, split or reordered nodes moves the
+  // digest. A digest that moves is a determinism break, not a constant
+  // to refresh.
+  const char *Sources[] = {
+      "(lambda (map (lambda (+ $0 $0)) (cdr $0)))",
+      "(lambda (cons (+ (car $0) (car $0)) nil))",
+      "(lambda (fold (lambda (lambda (+ $1 $0))) 0 $0))",
+  };
+  for (const char *Src : Sources) {
+    ExprPtr P = parseProgram(Src);
+    ASSERT_NE(P, nullptr) << Src;
+    VT.betaClosure(P, 3);
+  }
+  std::uint64_t H = 0xcbf29ce484222325ULL;
+  auto Mix = [&H](const void *Data, size_t N) {
+    const auto *Bytes = static_cast<const unsigned char *>(Data);
+    for (size_t I = 0; I < N; ++I) {
+      H ^= Bytes[I];
+      H *= 0x100000001b3ULL;
+    }
+  };
+  auto MixInt = [&Mix](long V) { Mix(&V, sizeof V); };
+  for (size_t V = 0; V < VT.size(); ++V) {
+    const VsNode &N = VT.node(static_cast<VsId>(V));
+    MixInt(static_cast<long>(V));
+    MixInt(static_cast<long>(N.Kind));
+    switch (N.Kind) {
+    case VsKind::Index:
+      MixInt(N.Index);
+      break;
+    case VsKind::Terminal: {
+      std::string Leaf = N.Leaf->show();
+      Mix(Leaf.c_str(), Leaf.size() + 1);
+      break;
+    }
+    case VsKind::Abstraction:
+      MixInt(N.Body);
+      break;
+    case VsKind::Application:
+      MixInt(N.Fn);
+      MixInt(N.Arg);
+      break;
+    case VsKind::Union:
+      for (VsId M : N.Members)
+        MixInt(M);
+      MixInt(-1);
+      break;
+    default:
+      break;
+    }
+  }
+  char Hex[17];
+  std::snprintf(Hex, sizeof Hex, "%016llx",
+                static_cast<unsigned long long>(H));
+  EXPECT_EQ(VT.size(), 70469u);
+  EXPECT_EQ(std::string(Hex), "e0a8fb48d39f5578");
 }
